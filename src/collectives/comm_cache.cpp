@@ -1,6 +1,7 @@
 #include "collectives/comm_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "util/assert.hpp"
@@ -35,44 +36,198 @@ ShapeKey make_shape_key(const Tree& tree, std::span<const NodeId> nodes) {
   return key;
 }
 
-LeafCommProfile make_leaf_comm_profile(Pattern pattern, double base_msize,
-                                       const ShapeKey& shape,
-                                       int ranks_per_node) {
+namespace {
+
+bool is_pow2(int x) {
+  return x > 0 && std::has_single_bit(static_cast<unsigned>(x));
+}
+
+// The header fields of a profile, after checking that the shape's runs are
+// well formed and cover total_nodes.
+LeafCommProfile empty_profile(double base_msize, const ShapeKey& shape,
+                              int ranks_per_node) {
   COMMSCHED_ASSERT_GE_MSG(ranks_per_node, 1,
                           "need at least one rank per node");
+  int covered = 0;
+  for (const auto& [slot, count] : shape.runs) {
+    COMMSCHED_ASSERT(slot >= 0 && slot < shape.num_slots && count >= 1);
+    covered += count;
+  }
+  COMMSCHED_ASSERT_EQ_MSG(covered, shape.total_nodes,
+                          "shape runs do not cover total_nodes");
   LeafCommProfile profile;
   profile.num_slots = shape.num_slots;
   profile.ranks_per_node = ranks_per_node;
   profile.nprocs = shape.total_nodes * ranks_per_node;
   profile.base_msize = base_msize;
+  return profile;
+}
+
+// The per-step tail both lowerings share: collect a step's distinct slot
+// pairs, sort them, intern the set as a class in first-appearance order and
+// append the ProfileStep.
+class StepAssembler {
+ public:
+  explicit StepAssembler(LeafCommProfile& profile)
+      : profile_(profile),
+        k_(static_cast<std::size_t>(profile.num_slots)),
+        pair_seen_(k_ * k_, 0) {}
+
+  /// Record leaf-slot pair (sa, sb), sa <= sb, for the current step.
+  void add_pair(std::int32_t sa, std::int32_t sb) {
+    auto& seen = pair_seen_[index(sa, sb)];
+    if (!seen) {
+      seen = 1;
+      step_pairs_.emplace_back(sa, sb);
+    }
+  }
+
+  /// Close the current step: `step` carries everything but its class.
+  void finish_step(ProfileStep step) {
+    for (const auto& [sa, sb] : step_pairs_) pair_seen_[index(sa, sb)] = 0;
+    std::sort(step_pairs_.begin(), step_pairs_.end());
+    const auto [it, inserted] = class_ids_.try_emplace(
+        step_pairs_, static_cast<std::int32_t>(profile_.classes.size()));
+    if (inserted) profile_.classes.push_back({step_pairs_});
+    step.cls = it->second;
+    profile_.steps.push_back(step);
+    step_pairs_.clear();
+  }
+
+ private:
+  std::size_t index(std::int32_t sa, std::int32_t sb) const {
+    return static_cast<std::size_t>(sa) * k_ + static_cast<std::size_t>(sb);
+  }
+
+  LeafCommProfile& profile_;
+  std::size_t k_;
+  std::vector<std::uint8_t> pair_seen_;
+  // Distinct leaf-pair set -> class id. An ordered map keeps the dedup
+  // allocation-light; the number of classes is small by construction.
+  std::map<std::vector<std::pair<std::int32_t, std::int32_t>>, std::int32_t>
+      class_ids_;
+  std::vector<std::pair<std::int32_t, std::int32_t>> step_pairs_;
+};
+
+// Whether every step of `pattern` at `nprocs` ranks pairs rank i with
+// i + d for d a power of two, and node boundaries fall on power-of-two
+// rank boundaries — the preconditions of the closed-form lowering.
+bool has_closed_form(Pattern pattern, int nprocs, int ranks_per_node) {
+  if (!is_pow2(ranks_per_node)) return false;
+  switch (pattern) {
+    case Pattern::kRecursiveDoubling:
+    case Pattern::kRecursiveHalvingVD:
+      return is_pow2(nprocs);
+    case Pattern::kBinomial:
+      return true;
+    case Pattern::kRing:
+    case Pattern::kPairwiseAlltoall:
+      return false;
+  }
+  return false;
+}
+
+// Closed-form lowering of RD/RHVD at power-of-two p and binomial at any p
+// (power-of-two ranks_per_node). A step at distance d pairs i with i + d for
+// every i < limit whose bit d is clear: limit = p - d for the XOR patterns
+// (no i in [p - d, p) has bit d clear) and min(d, p - d) for binomial
+// (where i < d makes the bit test vacuous). count_below(x) counts such i in
+// [0, x), so the pairs between run A and run B are counted in O(1) from the
+// overlap of A's partner interval with B; a two-pointer walk visits each
+// overlapping (A, B) once. If d < rpn the partner shares i's node (d and
+// rpn are powers of two, so adding d never carries past the node's bits);
+// otherwise d is a multiple of rpn and no pair does.
+void closed_form_steps(Pattern pattern, const ShapeKey& shape,
+                       LeafCommProfile& profile) {
+  const int p = profile.nprocs;
+  const int rpn = profile.ranks_per_node;
+  // Run r covers ranks [start[r], start[r + 1]).
+  const std::size_t runs = shape.runs.size();
+  std::vector<int> start;
+  start.reserve(runs + 1);
+  start.push_back(0);
+  for (const auto& [slot, count] : shape.runs)
+    start.push_back(start.back() + count * rpn);
+
+  StepAssembler assembler(profile);
+
+  const bool binomial = pattern == Pattern::kBinomial;
+  const auto emit = [&](int d, double msize) {
+    const int limit = binomial ? std::min(d, p - d) : p - d;
+    const auto count_below = [d](int x) {
+      return static_cast<std::int64_t>(x / (2 * d)) * d +
+             std::min(x % (2 * d), d);
+    };
+    ProfileStep ps;
+    ps.msize = msize;
+    ps.rank_pairs = count_below(limit);
+    if (d < rpn) {
+      ps.same_node_pairs = ps.rank_pairs;
+      assembler.finish_step(ps);
+      return;
+    }
+    std::size_t first = 0;  // first run ending past lo_a + d
+    for (std::size_t a = 0; a < runs && start[a] < limit; ++a) {
+      const int lo_a = start[a];
+      const int hi_a = std::min(start[a + 1], limit);
+      while (start[first + 1] <= lo_a + d) ++first;
+      for (std::size_t b = first; b < runs && start[b] < hi_a + d; ++b) {
+        const int lo = std::max(lo_a, start[b] - d);
+        const int hi = std::min(hi_a, start[b + 1] - d);
+        const std::int64_t n = count_below(hi) - count_below(lo);
+        if (n == 0) continue;
+        auto sa = shape.runs[a].first;
+        auto sb = shape.runs[b].first;
+        if (sa > sb) std::swap(sa, sb);
+        if (sa == sb) ps.same_leaf_pairs += n;
+        assembler.add_pair(sa, sb);
+      }
+    }
+    assembler.finish_step(ps);
+  };
+
+  // Same step order and msize expressions as the schedule generators.
+  const int lg = std::bit_width(static_cast<unsigned>(p)) - 1;
+  switch (pattern) {
+    case Pattern::kRecursiveDoubling:
+      for (int k = 0; k < lg; ++k) emit(1 << k, profile.base_msize);
+      break;
+    case Pattern::kRecursiveHalvingVD:
+      for (int k = 0; k < lg; ++k)
+        emit(p >> (k + 1),
+             profile.base_msize * static_cast<double>(1 << k));
+      break;
+    case Pattern::kBinomial:
+      for (int k = 0; (1 << k) < p; ++k) emit(1 << k, profile.base_msize);
+      break;
+    case Pattern::kRing:
+    case Pattern::kPairwiseAlltoall:
+      COMMSCHED_ASSERT_MSG(false, "pattern has no closed-form profile");
+  }
+}
+
+}  // namespace
+
+LeafCommProfile make_leaf_comm_profile_streamed(Pattern pattern,
+                                                double base_msize,
+                                                const ShapeKey& shape,
+                                                int ranks_per_node) {
+  LeafCommProfile profile = empty_profile(base_msize, shape, ranks_per_node);
   if (profile.nprocs < 2) return profile;
 
   // Expand the RLE back to node index -> leaf slot.
   std::vector<std::int32_t> node_slot;
   node_slot.reserve(static_cast<std::size_t>(shape.total_nodes));
-  for (const auto& [slot, count] : shape.runs) {
-    COMMSCHED_ASSERT(slot >= 0 && slot < shape.num_slots && count >= 1);
+  for (const auto& [slot, count] : shape.runs)
     node_slot.insert(node_slot.end(), static_cast<std::size_t>(count),
                      slot);
-  }
-  COMMSCHED_ASSERT_EQ_MSG(static_cast<int>(node_slot.size()),
-                          shape.total_nodes,
-                          "shape runs do not cover total_nodes");
 
-  const auto k = static_cast<std::size_t>(shape.num_slots);
-  std::vector<std::uint8_t> pair_seen(k * k, 0);
-  // Distinct leaf-pair set -> class id. An ordered map keeps the dedup
-  // allocation-light; the number of classes is small by construction.
-  std::map<std::vector<std::pair<std::int32_t, std::int32_t>>, std::int32_t>
-      class_ids;
-  std::vector<std::pair<std::int32_t, std::int32_t>> step_pairs;
-
+  StepAssembler assembler(profile);
   for_each_schedule_step(
       pattern, profile.nprocs, base_msize, [&](const CommStep& step) {
         ProfileStep ps;
         ps.msize = step.msize;
         ps.repeat = step.repeat;
-        step_pairs.clear();
         for (const auto& [ri, rj] : step.pairs) {
           COMMSCHED_ASSERT_MSG(ri >= 0 && rj >= 0 && ri < profile.nprocs &&
                                    rj < profile.nprocs,
@@ -88,24 +243,23 @@ LeafCommProfile make_leaf_comm_profile(Pattern pattern, double base_msize,
           auto sb = node_slot[static_cast<std::size_t>(nj)];
           if (sa > sb) std::swap(sa, sb);
           if (sa == sb) ++ps.same_leaf_pairs;
-          auto& seen = pair_seen[static_cast<std::size_t>(sa) * k +
-                                 static_cast<std::size_t>(sb)];
-          if (!seen) {
-            seen = 1;
-            step_pairs.emplace_back(sa, sb);
-          }
+          assembler.add_pair(sa, sb);
         }
-        for (const auto& [sa, sb] : step_pairs)
-          pair_seen[static_cast<std::size_t>(sa) * k +
-                    static_cast<std::size_t>(sb)] = 0;
-        std::sort(step_pairs.begin(), step_pairs.end());
-        const auto [it, inserted] = class_ids.try_emplace(
-            step_pairs, static_cast<std::int32_t>(profile.classes.size()));
-        if (inserted) profile.classes.push_back({step_pairs});
-        ps.cls = it->second;
-        profile.steps.push_back(ps);
+        assembler.finish_step(ps);
         return true;
       });
+  return profile;
+}
+
+LeafCommProfile make_leaf_comm_profile(Pattern pattern, double base_msize,
+                                       const ShapeKey& shape,
+                                       int ranks_per_node) {
+  if (!has_closed_form(pattern, shape.total_nodes * ranks_per_node,
+                       ranks_per_node))
+    return make_leaf_comm_profile_streamed(pattern, base_msize, shape,
+                                           ranks_per_node);
+  LeafCommProfile profile = empty_profile(base_msize, shape, ranks_per_node);
+  if (profile.nprocs >= 2) closed_form_steps(pattern, shape, profile);
   return profile;
 }
 

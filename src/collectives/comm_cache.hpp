@@ -100,12 +100,28 @@ struct LeafCommProfile {
 };
 
 /// Lower the schedule of `pattern` (at nprocs = shape.total_nodes *
-/// ranks_per_node ranks, block-distributed) onto `shape`. Streams the
-/// schedule, so large-p alltoall profiles build without materializing O(p²)
-/// pairs.
+/// ranks_per_node ranks, block-distributed) onto `shape`. RD and RHVD at
+/// power-of-two nprocs and binomial at any nprocs, each with power-of-two
+/// ranks_per_node, lower in closed form from the shape's runs: every step
+/// pairs rank i with i + d, so each pair of runs contributes an O(1) count
+/// and a step costs O(runs + overlapping run pairs), independent of nprocs.
+/// Every other input goes through make_leaf_comm_profile_streamed(). Both
+/// lowerings produce bit-identical profiles (DESIGN.md "Shape
+/// canonicalization & CommCache").
 LeafCommProfile make_leaf_comm_profile(Pattern pattern, double base_msize,
                                        const ShapeKey& shape,
                                        int ranks_per_node);
+
+/// The streaming lowering: walks the schedule through
+/// for_each_schedule_step() and maps every rank pair to its leaf slots, so
+/// large-p alltoall profiles build without materializing O(p²) pairs. It is
+/// make_leaf_comm_profile()'s fallback for ring, alltoall, RD/RHVD at
+/// non-power-of-two nprocs (the MPICH fold) and non-power-of-two
+/// ranks_per_node, and the oracle the closed form is tested against.
+LeafCommProfile make_leaf_comm_profile_streamed(Pattern pattern,
+                                                double base_msize,
+                                                const ShapeKey& shape,
+                                                int ranks_per_node);
 
 /// Memoizing store for materialized schedules and leaf-comm profiles. One
 /// instance is shared per simulation run (simulator, its allocator, and its

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "collectives/schedule.hpp"
 #include "topology/builders.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace commsched {
 namespace {
@@ -127,6 +130,157 @@ TEST(LeafCommProfileTest, AlltoallStreamsFarBeyondMaterializationCap) {
   std::int64_t rank_pairs = 0;
   for (const ProfileStep& step : profile.steps) rank_pairs += step.rank_pairs;
   EXPECT_EQ(rank_pairs, static_cast<std::int64_t>(8192) * 8191 / 2);
+}
+
+// --- Closed form vs. the streaming oracle ----------------------------------
+
+// Field-for-field, no tolerance: the closed form must reproduce the
+// streamed profile bit for bit, class order and msize expressions included.
+void expect_same_profile(const LeafCommProfile& got,
+                         const LeafCommProfile& want,
+                         const std::string& label) {
+  EXPECT_EQ(got.num_slots, want.num_slots) << label;
+  EXPECT_EQ(got.nprocs, want.nprocs) << label;
+  EXPECT_EQ(got.ranks_per_node, want.ranks_per_node) << label;
+  EXPECT_EQ(got.base_msize, want.base_msize) << label;
+  ASSERT_EQ(got.classes.size(), want.classes.size()) << label;
+  for (std::size_t c = 0; c < got.classes.size(); ++c)
+    EXPECT_EQ(got.classes[c].leaf_pairs, want.classes[c].leaf_pairs)
+        << label << " class " << c;
+  ASSERT_EQ(got.steps.size(), want.steps.size()) << label;
+  for (std::size_t s = 0; s < got.steps.size(); ++s) {
+    const ProfileStep& g = got.steps[s];
+    const ProfileStep& w = want.steps[s];
+    EXPECT_EQ(g.cls, w.cls) << label << " step " << s;
+    EXPECT_EQ(g.msize, w.msize) << label << " step " << s;
+    EXPECT_EQ(g.repeat, w.repeat) << label << " step " << s;
+    EXPECT_EQ(g.rank_pairs, w.rank_pairs) << label << " step " << s;
+    EXPECT_EQ(g.same_node_pairs, w.same_node_pairs) << label << " step " << s;
+    EXPECT_EQ(g.same_leaf_pairs, w.same_leaf_pairs) << label << " step " << s;
+  }
+}
+
+// A canonical key of `nodes` nodes whose runs revisit earlier slots: each
+// run either opens a new slot (first-appearance naming) or returns to an
+// earlier one other than its predecessor.
+ShapeKey random_shape(Rng& rng, int nodes) {
+  ShapeKey key;
+  key.total_nodes = nodes;
+  const int max_run = static_cast<int>(rng.uniform_int(1, 64));
+  for (int covered = 0; covered < nodes;) {
+    const int count = static_cast<int>(
+        rng.uniform_int(1, std::min(max_run, nodes - covered)));
+    std::int32_t slot = key.num_slots;
+    if (key.num_slots >= 2 && rng.bernoulli(0.5)) {
+      do {
+        slot = static_cast<std::int32_t>(
+            rng.uniform_int(0, key.num_slots - 1));
+      } while (slot == key.runs.back().first);
+    }
+    if (slot == key.num_slots) ++key.num_slots;
+    key.runs.emplace_back(slot, count);
+    covered += count;
+  }
+  return key;
+}
+
+TEST(LeafCommProfileTest, ClosedFormMatchesStreamingOnFuzzedShapes) {
+  // RD, RHVD and binomial; power-of-two and ragged rank counts up to 4096;
+  // ranks_per_node 1-4 (3 exercises the streaming fallback through the
+  // public entry point). Rank counts are log-uniform so most shapes are
+  // small and every size class is hit.
+  Rng rng(20261017);
+  int compared = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    for (const Pattern pattern :
+         {Pattern::kRecursiveDoubling, Pattern::kRecursiveHalvingVD,
+          Pattern::kBinomial}) {
+      for (const int rpn : {1, 2, 3, 4}) {
+        const int lg = static_cast<int>(rng.uniform_int(0, 12));
+        int nprocs = 1 << lg;
+        if (rng.bernoulli(0.5))  // ragged: anywhere up to that power
+          nprocs = static_cast<int>(rng.uniform_int(1, nprocs));
+        const int nodes = std::max(1, nprocs / rpn);
+        const ShapeKey shape = random_shape(rng, nodes);
+        const double msize = static_cast<double>(rng.uniform_int(1, 1 << 20));
+        const std::string label = std::string(pattern_name(pattern)) +
+                                  "/nodes=" + std::to_string(nodes) +
+                                  "/rpn=" + std::to_string(rpn) +
+                                  "/runs=" +
+                                  std::to_string(shape.runs.size());
+        expect_same_profile(
+            make_leaf_comm_profile(pattern, msize, shape, rpn),
+            make_leaf_comm_profile_streamed(pattern, msize, shape, rpn),
+            label);
+        if (HasFailure()) return;  // one diverging shape is enough to report
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 1500 * 3 * 4);
+}
+
+TEST(LeafCommProfileTest, ClosedFormHandWorkedShape) {
+  // Nodes n0 n1 n2 n3 under slots 0 0 1 0 (runs {0:2, 1:1, 0:1}), two ranks
+  // per node: ranks 0-3 on slot 0, 4-5 on slot 1, 6-7 on slot 0 again.
+  const ShapeKey shape{{{0, 2}, {1, 1}, {0, 1}}, 4, 2};
+
+  // RHVD over 8 ranks: d = 4, 2, 1 with msize m, 2m, 4m.
+  //   d=4: (0,4) (1,5) -> slots (0,1); (2,6) (3,7) -> (0,0), cross-node.
+  //   d=2: (0,2) (1,3) -> (0,0); (4,6) (5,7) -> (1,0) = (0,1).
+  //   d=1: (0,1) (2,3) (4,5) (6,7) all stay on their node.
+  // Steps 0 and 1 share the class {(0,0),(0,1)}; step 2's is empty.
+  const LeafCommProfile rhvd =
+      make_leaf_comm_profile(Pattern::kRecursiveHalvingVD, 8.0, shape, 2);
+  ASSERT_EQ(rhvd.classes.size(), 2u);
+  EXPECT_EQ(rhvd.classes[0].leaf_pairs, (Pairs{{0, 0}, {0, 1}}));
+  EXPECT_TRUE(rhvd.classes[1].leaf_pairs.empty());
+  ASSERT_EQ(rhvd.steps.size(), 3u);
+  const std::int32_t rhvd_cls[] = {0, 0, 1};
+  const double rhvd_msize[] = {8.0, 16.0, 32.0};
+  const std::int64_t rhvd_same_node[] = {0, 0, 4};
+  const std::int64_t rhvd_same_leaf[] = {2, 2, 0};
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(rhvd.steps[s].cls, rhvd_cls[s]) << s;
+    EXPECT_EQ(rhvd.steps[s].msize, rhvd_msize[s]) << s;
+    EXPECT_EQ(rhvd.steps[s].rank_pairs, 4) << s;
+    EXPECT_EQ(rhvd.steps[s].same_node_pairs, rhvd_same_node[s]) << s;
+    EXPECT_EQ(rhvd.steps[s].same_leaf_pairs, rhvd_same_leaf[s]) << s;
+  }
+
+  // Binomial over the first three nodes (6 ranks, ragged): d = 1, 2, 4 and
+  // i < min(d, 6 - d).
+  //   d=1: (0,1) on node 0.
+  //   d=2: (0,2) (1,3) -> nodes 0-1, both slot 0.
+  //   d=4: (0,4) (1,5) -> slots (0,1); i = 2, 3 would pass rank 5.
+  const ShapeKey head{{{0, 2}, {1, 1}}, 3, 2};
+  const LeafCommProfile binomial =
+      make_leaf_comm_profile(Pattern::kBinomial, 8.0, head, 2);
+  ASSERT_EQ(binomial.classes.size(), 3u);
+  EXPECT_TRUE(binomial.classes[0].leaf_pairs.empty());
+  EXPECT_EQ(binomial.classes[1].leaf_pairs, (Pairs{{0, 0}}));
+  EXPECT_EQ(binomial.classes[2].leaf_pairs, (Pairs{{0, 1}}));
+  ASSERT_EQ(binomial.steps.size(), 3u);
+  const std::int64_t binomial_pairs[] = {1, 2, 2};
+  const std::int64_t binomial_same_node[] = {1, 0, 0};
+  const std::int64_t binomial_same_leaf[] = {0, 2, 0};
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(binomial.steps[s].cls, static_cast<std::int32_t>(s)) << s;
+    EXPECT_EQ(binomial.steps[s].msize, 8.0) << s;
+    EXPECT_EQ(binomial.steps[s].rank_pairs, binomial_pairs[s]) << s;
+    EXPECT_EQ(binomial.steps[s].same_node_pairs, binomial_same_node[s]) << s;
+    EXPECT_EQ(binomial.steps[s].same_leaf_pairs, binomial_same_leaf[s]) << s;
+  }
+
+  // And both agree with the streaming oracle.
+  expect_same_profile(rhvd,
+                      make_leaf_comm_profile_streamed(
+                          Pattern::kRecursiveHalvingVD, 8.0, shape, 2),
+                      "rhvd");
+  expect_same_profile(
+      binomial,
+      make_leaf_comm_profile_streamed(Pattern::kBinomial, 8.0, head, 2),
+      "binomial");
 }
 
 // --- CommCache memoization --------------------------------------------------

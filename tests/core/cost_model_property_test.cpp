@@ -53,7 +53,8 @@ TEST_P(CostPropertySweep, Invariants) {
   const Tree tree = make_machine(param.machine);
   ClusterState state(tree);
   occupy(state, 0.3, param.seed, /*comm=*/true);
-  if (state.total_free() < param.job_nodes) GTEST_SKIP();
+  ASSERT_GE(state.total_free(), param.job_nodes)
+      << "cell does not fit its machine after the background load";
 
   AllocationRequest request;
   request.job = 999;
@@ -116,11 +117,19 @@ std::vector<Case> cases() {
   const Pattern patterns[] = {Pattern::kRecursiveDoubling,
                               Pattern::kRecursiveHalvingVD, Pattern::kBinomial,
                               Pattern::kRing};
-  for (const char* machine : {"figure2", "department", "iitk"})
+  // Sizes fit what 30% background load leaves free on every seed: figure2
+  // has 8 nodes and keeps 3-4 free, the larger machines keep >= 29.
+  const struct {
+    const char* machine;
+    std::vector<int> sizes;
+  } grids[] = {{"figure2", {1, 2, 3}},
+               {"department", {1, 2, 5, 8, 16}},
+               {"iitk", {1, 2, 5, 8, 16}}};
+  for (const auto& grid : grids)
     for (const Pattern p : patterns)
-      for (const int size : {1, 2, 5, 8, 16})
+      for (const int size : grid.sizes)
         for (const std::uint64_t seed : {11u, 22u})
-          out.push_back({machine, p, size, seed});
+          out.push_back({grid.machine, p, size, seed});
   return out;
 }
 
