@@ -7,8 +7,11 @@
 // Writes BENCH_campaign.json at the CWD (run from the repo root). The
 // recorded speedup is honest wall-clock on the current machine; on a
 // single-hardware-thread container the two timings are expected to tie, so
-// the JSON also records hardware_concurrency for interpretation.
+// the JSON also records hardware_concurrency for interpretation, and the
+// commit it ran on (`git describe --always --dirty`, "unknown" outside a
+// git checkout) so snapshots can be compared across changes.
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -55,6 +58,19 @@ TimedRun timed_run(const std::vector<exp::MachineCase>& machines,
   r.cells = result.cells.size();
   return r;
 }
+
+// The checkout's commit, "-dirty" when the tree has uncommitted changes.
+std::string source_commit() {
+  std::string out;
+  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+    pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
 }  // namespace
 
 int main() {
@@ -91,11 +107,14 @@ int main() {
                 std::to_string(wide),
             table, "campaign_speedup");
 
+  // Described before the JSON is rewritten, which would dirty the tree.
+  const std::string commit = source_commit();
   std::ofstream json("BENCH_campaign.json");
   json << "{\n"
        << "  \"campaign\": \"fig6 grid (3 logs x sets A-E x 4 policies)\",\n"
        << "  \"cells\": " << serial.cells << ",\n"
        << "  \"hardware_concurrency\": " << hardware << ",\n"
+       << "  \"commit\": \"" << commit << "\",\n"
        << "  \"threads_compared\": [1, " << wide << "],\n"
        << "  \"seconds_1_thread\": " << cell(serial.seconds, 3) << ",\n"
        << "  \"seconds_" << wide << "_threads\": "

@@ -35,43 +35,97 @@ ClusterState::ClusterState(const Tree& tree) : tree_(&tree) {
                           "every node must hang off exactly one leaf");
 
   stamp_.assign(static_cast<std::size_t>(tree.node_count()), 0);
+  batch_.resize(static_cast<std::size_t>(tree.switch_count()));
+  batch_leaves_.reserve(static_cast<std::size_t>(tree.leaf_count()));
+  batch_nodes_.resize(static_cast<std::size_t>(tree.node_count()));
 }
 
+// Opens a new epoch for the node stamps and the per-leaf batch counters.
 // hot-path: no-alloc
-void ClusterState::transition(NodeId n, JobId new_owner, bool comm, bool io,
-                              LoadUnits load, int delta) {
-  node_owner_[static_cast<std::size_t>(n)] = new_owner;
-  const SwitchId leaf = tree_->leaf_of(n);
-
-  // Maintain the leaf's packed sorted free prefix before the counters move:
-  // leaf_free() still reflects the pre-transition free count here.
-  const std::int32_t off = leaf_off_[static_cast<std::size_t>(leaf)];
-  NodeId* seg = free_list_.data() + off;
-  const int free_before = leaf_free(leaf);
-  if (delta > 0) {
-    // Node became busy: remove it from the sorted prefix.
-    NodeId* pos = std::lower_bound(seg, seg + free_before, n);
-    COMMSCHED_ASSERT_MSG(pos != seg + free_before && *pos == n,
-                         "free index out of sync: allocated node not free");
-    std::copy(pos + 1, seg + free_before, pos);
-  } else {
-    // Node became free: insert it into the sorted prefix.
-    NodeId* pos = std::lower_bound(seg, seg + free_before, n);
-    std::copy_backward(pos, seg + free_before, seg + free_before + 1);
-    *pos = n;
+void ClusterState::begin_batch() {
+  if (++epoch_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    for (LeafBatch& b : batch_) b.stamp = 0;
+    epoch_ = 1;
   }
+  batch_leaves_.clear();
+}
 
-  leaf_busy_[static_cast<std::size_t>(leaf)] += delta;
-  if (comm) leaf_comm_[static_cast<std::size_t>(leaf)] += delta;
-  if (io) leaf_io_[static_cast<std::size_t>(leaf)] += delta;
-  const LoadUnits load_delta = load * delta;
-  leaf_load_[static_cast<std::size_t>(leaf)] += load_delta;
+// Counts node `n` (attached to `leaf`) into the current batch.
+// hot-path: no-alloc
+void ClusterState::count_into_batch(SwitchId leaf, NodeId n) {
+  LeafBatch& b = batch_[static_cast<std::size_t>(leaf)];
+  if (b.stamp != epoch_) {
+    b = LeafBatch{.stamp = epoch_, .count = 0, .min = n, .begin = 0};
+    // contract-trusted: no-alloc: capacity reserved to leaf_count when the
+    // state is built
+    batch_leaves_.push_back(leaf);
+  }
+  ++b.count;
+  b.min = std::min(b.min, n);
+}
+
+// Moves the leaf's counters and its ancestors' aggregates by `delta` nodes
+// of `rec`'s kind: one tree walk per leaf, whatever the node count.
+// hot-path: no-alloc
+void ClusterState::commit_leaf_counts(SwitchId leaf, int delta,
+                                      const JobRec& rec) {
+  const auto l = static_cast<std::size_t>(leaf);
+  leaf_busy_[l] += delta;
+  if (rec.comm_intensive) leaf_comm_[l] += delta;
+  if (rec.io_intensive) leaf_io_[l] += delta;
+  const LoadUnits load_delta = rec.load * delta;
+  leaf_load_[l] += load_delta;
   for (SwitchId s = leaf; s != kInvalidSwitch; s = tree_->parent(s)) {
     switch_free_[static_cast<std::size_t>(s)] -= delta;
     switch_load_[static_cast<std::size_t>(s)] += load_delta;
   }
   free_total_ -= delta;
   load_total_ += load_delta;
+}
+
+// Drops the nodes `job` now owns from the leaf's sorted free prefix in one
+// stable compaction, starting at the job's lowest node on the leaf. Runs
+// before the counters move, so leaf_free() is still the old prefix length.
+// Matching on the owner, not on "not free", keeps a busy node of another
+// job that the index lists from standing in for a node of this job that
+// the index lost: the count check then trips.
+// hot-path: no-alloc
+void ClusterState::remove_from_free_index(SwitchId leaf, JobId job) {
+  const LeafBatch& b = batch_[static_cast<std::size_t>(leaf)];
+  NodeId* const seg =
+      free_list_.data() + leaf_off_[static_cast<std::size_t>(leaf)];
+  NodeId* const end = seg + leaf_free(leaf);
+  NodeId* out = std::lower_bound(seg, end, b.min);
+  for (const NodeId* in = out; in != end; ++in)
+    if (node_owner_[static_cast<std::size_t>(*in)] != job) *out++ = *in;
+  COMMSCHED_ASSERT_MSG(end - out == b.count,
+                       "free index out of sync: allocated node not free");
+}
+
+// Merges the leaf's sorted bucket of freed nodes into its sorted free
+// prefix from the back, so every entry moves at most once. Runs before the
+// counters move. The prefix is strictly ascending, so a freed node the
+// index already lists meets itself as an equal key.
+// hot-path: no-alloc
+void ClusterState::merge_into_free_index(SwitchId leaf) {
+  const LeafBatch& b = batch_[static_cast<std::size_t>(leaf)];
+  NodeId* const seg =
+      free_list_.data() + leaf_off_[static_cast<std::size_t>(leaf)];
+  const NodeId* const freed = batch_nodes_.data() + b.begin;
+  std::ptrdiff_t i = leaf_free(leaf) - 1;
+  std::ptrdiff_t j = b.count - 1;
+  std::ptrdiff_t w = i + j + 1;
+  while (j >= 0) {
+    if (i >= 0 && seg[i] > freed[j]) {
+      seg[w--] = seg[i--];
+    } else {
+      COMMSCHED_ASSERT_MSG(i < 0 || seg[i] != freed[j],
+                           "free index out of sync: released node already "
+                           "free");
+      seg[w--] = freed[j--];
+    }
+  }
 }
 
 // hot-path: no-alloc
@@ -135,11 +189,9 @@ void ClusterState::allocate(JobId job, bool comm_intensive,
   COMMSCHED_ASSERT_MSG(!nodes.empty(), "allocation must contain nodes");
   COMMSCHED_ASSERT_GE_MSG(comm_load, 0, "negative communication load");
   // Check before mutating so a failed precondition leaves state untouched.
-  // Epoch stamping replaces a per-call hash set for the duplicate check.
-  if (++epoch_ == 0) {
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    epoch_ = 1;
-  }
+  // Epoch stamping replaces a per-call hash set for the duplicate check;
+  // the same pass counts the nodes per leaf.
+  begin_batch();
   for (const NodeId n : nodes) {
     COMMSCHED_ASSERT_MSG(n >= 0 && n < tree_->node_count(),
                          "node id out of range");
@@ -147,6 +199,7 @@ void ClusterState::allocate(JobId job, bool comm_intensive,
                          "duplicate node in allocation");
     stamp_[static_cast<std::size_t>(n)] = epoch_;
     COMMSCHED_ASSERT_MSG(is_free(n), "node already allocated");
+    count_into_batch(tree_->leaf_of(n), n);
   }
   const std::int32_t slot = claim_slot(job);
   JobRec& rec = job_pool_[static_cast<std::size_t>(slot)];
@@ -156,8 +209,12 @@ void ClusterState::allocate(JobId job, bool comm_intensive,
   rec.io_intensive = io_intensive;
   rec.load = comm_load;
   rec.nodes.assign(nodes.begin(), nodes.end());
-  for (const NodeId n : nodes)
-    transition(n, job, comm_intensive, io_intensive, comm_load, +1);
+  for (const NodeId n : nodes) node_owner_[static_cast<std::size_t>(n)] = job;
+  for (const SwitchId leaf : batch_leaves_) {
+    remove_from_free_index(leaf, job);
+    commit_leaf_counts(leaf, batch_[static_cast<std::size_t>(leaf)].count,
+                       rec);
+  }
   ++live_jobs_;
 }
 
@@ -168,9 +225,30 @@ void ClusterState::release_into(JobId job, std::vector<NodeId>& out) {
   JobRec& rec = job_pool_[static_cast<std::size_t>(slot)];
   // contract-trusted: no-alloc: caller scratch reuses reserved capacity
   out.assign(rec.nodes.begin(), rec.nodes.end());
-  for (const NodeId n : out)
-    transition(n, kInvalidJob, rec.comm_intensive, rec.io_intensive, rec.load,
-               -1);
+
+  // Bucket the freed nodes by leaf (counting sort over the touched leaves)
+  // and sort each bucket for the merge.
+  begin_batch();
+  for (const NodeId n : out) count_into_batch(tree_->leaf_of(n), n);
+  std::int32_t begin = 0;
+  for (const SwitchId leaf : batch_leaves_) {
+    LeafBatch& b = batch_[static_cast<std::size_t>(leaf)];
+    b.begin = begin;
+    begin += b.count;
+  }
+  for (const NodeId n : out) {
+    node_owner_[static_cast<std::size_t>(n)] = kInvalidJob;
+    LeafBatch& b = batch_[static_cast<std::size_t>(tree_->leaf_of(n))];
+    batch_nodes_[static_cast<std::size_t>(b.begin++)] = n;
+  }
+  for (const SwitchId leaf : batch_leaves_) {
+    LeafBatch& b = batch_[static_cast<std::size_t>(leaf)];
+    b.begin -= b.count;
+    NodeId* const bucket = batch_nodes_.data() + b.begin;
+    std::sort(bucket, bucket + b.count);
+    merge_into_free_index(leaf);
+    commit_leaf_counts(leaf, -b.count, rec);
+  }
   drop_slot(job, slot);
   --live_jobs_;
 }

@@ -27,8 +27,12 @@
 // 1), so steady-state allocate/release perform no hashing and recycle node
 // vectors instead of reallocating them.
 //
-// All structures are updated incrementally in O(depth + leaf size) per node
-// transition; validate() recomputes everything from scratch for tests.
+// Commits are leaf-granular: allocate() and release_into() count the job's
+// nodes per touched leaf, then make one pass over each touched leaf's free
+// segment (a stable compaction on allocate, a backward merge on release)
+// and walk that leaf's ancestors once with the count as delta. A job costs
+// O(nodes + touched leaves × (leaf size + depth)), not O(nodes × (leaf
+// size + depth)). validate() recomputes everything from scratch for tests.
 #pragma once
 
 #include <cstdint>
@@ -148,8 +152,11 @@ class ClusterState {
   // (huge or negative ids from ad-hoc callers) falls back to the hash map.
   static constexpr JobId kDenseJobIds = JobId{1} << 26;
 
-  void transition(NodeId n, JobId new_owner, bool comm, bool io,
-                  LoadUnits load, int delta);
+  void begin_batch();
+  void count_into_batch(SwitchId leaf, NodeId n);
+  void commit_leaf_counts(SwitchId leaf, int delta, const JobRec& rec);
+  void remove_from_free_index(SwitchId leaf, JobId job);
+  void merge_into_free_index(SwitchId leaf);
   std::int32_t find_slot(JobId job) const;  ///< -1 when absent
   std::int32_t claim_slot(JobId job);
   void drop_slot(JobId job, std::int32_t slot);
@@ -182,9 +189,25 @@ class ClusterState {
   std::size_t live_jobs_ = 0;
 
   // Duplicate-node check scratch for allocate(): epoch stamping avoids a
-  // per-call hash set.
+  // per-call hash set. The same epoch stamps the per-leaf batch counters.
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
+
+  // Per-leaf commit batch (allocate/release_into), sized when the state is
+  // built. An entry is valid where stamp == epoch_; batch_leaves_ lists the
+  // touched leaves in first-touch order.
+  struct LeafBatch {
+    std::uint32_t stamp = 0;
+    std::int32_t count = 0;     // the job's nodes on the leaf
+    NodeId min = kInvalidNode;  // the job's lowest node on the leaf
+    std::int32_t begin = 0;     // release: bucket offset into batch_nodes_
+  };
+  // workspace: per-switch batch entries, size fixed at construction
+  std::vector<LeafBatch> batch_;
+  // workspace: touched leaves, capacity fixed at construction
+  std::vector<SwitchId> batch_leaves_;
+  // workspace: release: freed nodes bucketed by leaf, sorted per bucket
+  std::vector<NodeId> batch_nodes_;
 };
 
 }  // namespace commsched

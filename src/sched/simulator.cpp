@@ -767,9 +767,9 @@ class Simulation {
     if (options_.engine == SimEngine::kFast) {
       ++epoch_;
       job_mark_[changed] = epoch_;  // the trigger itself is never rescaled
-      for (const NodeId n : changed_nodes) {
-        const auto li =
-            static_cast<std::size_t>(tree_.leaf_index(tree_.leaf_of(n)));
+      for (std::size_t i = 0; i < changed_nodes.size();
+           i += tree_.leaf_run_length(changed_nodes.subspan(i))) {
+        const std::size_t li = leaf_slot(changed_nodes[i]);
         if (leaf_mark_[li] == epoch_) continue;
         leaf_mark_[li] = epoch_;
         for (const std::size_t j : leaf_jobs_[li]) {
@@ -804,14 +804,22 @@ class Simulation {
     auditor_.on_end_scheduled(job_id(j), end_key);
   }
 
+  // Dense leaf index of the leaf node `n` hangs off. The three per-leaf
+  // walks below visit `nodes` one leaf run at a time (Tree::leaf_run_length):
+  // allocations list a leaf's nodes together, so this runs once per run.
+  // hot-path: no-alloc
+  std::size_t leaf_slot(NodeId n) const {
+    return static_cast<std::size_t>(tree_.leaf_index(tree_.leaf_of(n)));
+  }
+
   // Per-leaf index of running jobs (fast engine): which jobs to visit when
   // a leaf's load changes. A job appears once per distinct leaf it touches.
   // hot-path: no-alloc
   void leaf_jobs_add(std::size_t idx, std::span<const NodeId> nodes) {
     ++epoch_;
-    for (const NodeId n : nodes) {
-      const auto li =
-          static_cast<std::size_t>(tree_.leaf_index(tree_.leaf_of(n)));
+    for (std::size_t i = 0; i < nodes.size();
+         i += tree_.leaf_run_length(nodes.subspan(i))) {
+      const std::size_t li = leaf_slot(nodes[i]);
       if (leaf_mark_[li] == epoch_) continue;
       leaf_mark_[li] = epoch_;
       // contract-trusted: no-alloc: bounded by the leaf's peak concurrent
@@ -823,9 +831,9 @@ class Simulation {
   // hot-path: no-alloc
   void leaf_jobs_remove(std::size_t idx, std::span<const NodeId> nodes) {
     ++epoch_;
-    for (const NodeId n : nodes) {
-      const auto li =
-          static_cast<std::size_t>(tree_.leaf_index(tree_.leaf_of(n)));
+    for (std::size_t i = 0; i < nodes.size();
+         i += tree_.leaf_run_length(nodes.subspan(i))) {
+      const std::size_t li = leaf_slot(nodes[i]);
       if (leaf_mark_[li] == epoch_) continue;
       leaf_mark_[li] = epoch_;
       std::erase(leaf_jobs_[li], idx);

@@ -57,20 +57,6 @@ int Tree::node_count_under(SwitchId s) const {
 }
 
 // hot-path: no-alloc
-SwitchId Tree::leaf_of(NodeId n) const {
-  COMMSCHED_ASSERT_MSG(n >= 0 && n < node_count(), "node id out of range");
-  return node_leaf_[static_cast<std::size_t>(n)];
-}
-
-// hot-path: no-alloc
-int Tree::leaf_index(SwitchId s) const {
-  check_switch(*this, s);
-  const std::int32_t idx = leaf_index_[static_cast<std::size_t>(s)];
-  COMMSCHED_ASSERT_MSG(idx >= 0, "leaf_index on a non-leaf switch");
-  return idx;
-}
-
-// hot-path: no-alloc
 SwitchId Tree::leaf_lca(SwitchId la, SwitchId lb) const {
   const auto row = static_cast<std::size_t>(leaf_index(la));
   const auto col = static_cast<std::size_t>(leaf_index(lb));

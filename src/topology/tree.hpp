@@ -23,6 +23,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace commsched {
 
 using NodeId = std::int32_t;
@@ -66,12 +68,36 @@ class Tree {
   /// Total compute nodes in the subtree rooted at `s`.
   int node_count_under(SwitchId s) const;
 
-  /// Leaf switch a node is attached to.
-  SwitchId leaf_of(NodeId n) const;
+  /// Leaf switch a node is attached to. Inline: every per-node loop of the
+  /// allocators, the shape key and the cost kernel calls it.
+  // hot-path: no-alloc
+  SwitchId leaf_of(NodeId n) const {
+    COMMSCHED_ASSERT_MSG(n >= 0 && n < node_count(), "node id out of range");
+    return node_leaf_[static_cast<std::size_t>(n)];
+  }
 
   /// Dense index of a leaf switch in leaves() order, in [0, leaf_count()).
   /// Requires is_leaf(s).
-  int leaf_index(SwitchId s) const;
+  // hot-path: no-alloc
+  int leaf_index(SwitchId s) const {
+    COMMSCHED_ASSERT_MSG(s >= 0 && s < switch_count(),
+                         "switch id out of range");
+    const std::int32_t idx = leaf_index_[static_cast<std::size_t>(s)];
+    COMMSCHED_ASSERT_MSG(idx >= 0, "leaf_index on a non-leaf switch");
+    return idx;
+  }
+
+  /// Length (>= 1) of the leading run of `nodes` attached to the same leaf
+  /// as nodes[0]. Allocations list a leaf's nodes together, so walking
+  /// `nodes` run by run does per-leaf work once per leaf rather than once
+  /// per node. Requires !nodes.empty().
+  // hot-path: no-alloc
+  std::size_t leaf_run_length(std::span<const NodeId> nodes) const {
+    const SwitchId leaf = leaf_of(nodes[0]);
+    std::size_t k = 1;
+    while (k < nodes.size() && leaf_of(nodes[k]) == leaf) ++k;
+    return k;
+  }
 
   /// Lowest common switch of two leaves (the leaf itself when la == lb).
   /// O(1) table lookup.

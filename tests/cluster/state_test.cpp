@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "topology/builders.hpp"
@@ -44,12 +46,13 @@ struct ClusterStateTestPeer {
         static_cast<std::size_t>(s.leaf_off_[static_cast<std::size_t>(leaf)]);
     std::swap(s.free_list_[off], s.free_list_[off + 1]);
   }
-  // Overwrite the first free-index entry of a leaf with an arbitrary node.
+  // Overwrite free-index entry `pos` (default: the first) of a leaf with an
+  // arbitrary node.
   static void corrupt_free_index_entry(ClusterState& s, SwitchId leaf,
-                                       NodeId n) {
+                                       NodeId n, std::size_t pos = 0) {
     const auto off =
         static_cast<std::size_t>(s.leaf_off_[static_cast<std::size_t>(leaf)]);
-    s.free_list_[off] = n;
+    s.free_list_[off + pos] = n;
   }
   static void corrupt_leaf_load(ClusterState& s, SwitchId leaf,
                                 LoadUnits delta) {
@@ -339,11 +342,41 @@ TEST_F(ClusterStateCorruptionTest, FreeIndexDesyncTripsTransition) {
   // transition-time cross-check, not corrupt the index silently. Overwriting
   // the first entry (node 5) evicts it from the index while node_owner_
   // still says free, so allocating node 5 passes the is_free precondition
-  // and trips inside transition().
+  // and trips inside allocate()'s per-leaf free-index compaction.
   ClusterStateTestPeer::corrupt_free_index_entry(
       state_, *tree_.switch_by_name("s1"), /*n=*/4);
   EXPECT_THROW(state_.allocate(2, false, std::vector<NodeId>{5}),
                InvariantError);
+}
+
+TEST_F(ClusterStateCorruptionTest, FreeIndexForeignEntryTripsAllocate) {
+  // Job 3 takes node 7, so s1's free prefix is {5, 6}. Overwriting node 6
+  // with node 7 leaves {5, 7}: sorted, missing a free node, listing a busy
+  // one. Allocating {5, 6} must fire: the compaction drops only entries
+  // owned by the allocating job, so it removes one entry where two were
+  // expected. A compaction that dropped every busy entry would remove 5
+  // and 7, match the count, and leave the index silently wrong.
+  state_.allocate(3, false, std::vector<NodeId>{7});
+  ClusterStateTestPeer::corrupt_free_index_entry(
+      state_, *tree_.switch_by_name("s1"), /*n=*/7, /*pos=*/1);
+  EXPECT_THROW(state_.allocate(2, false, std::vector<NodeId>{5, 6}),
+               InvariantError);
+}
+
+TEST_F(ClusterStateCorruptionTest, FreeIndexDesyncTripsRelease) {
+  // The mirror image on release: the free index already lists node 4 while
+  // job 1 still owns it. Releasing job 1 must fire the merge-time check
+  // instead of writing node 4 into the prefix twice.
+  ClusterStateTestPeer::corrupt_free_index_entry(
+      state_, *tree_.switch_by_name("s1"), /*n=*/4);
+  try {
+    state_.release(1);
+    FAIL() << "expected InvariantError";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("released node already free"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ClusterStateCorruptionTest, ViolationMessageCarriesValues) {
@@ -394,6 +427,108 @@ TEST_P(ClusterStateRandomOps, ValidateAfterEveryStep) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterStateRandomOps,
                          ::testing::Values(1, 7, 42, 1234, 987654));
+
+// Property sweep for the leaf-granular commit on big leaves (4 x 64 nodes):
+// allocations revisit leaves non-contiguously (A, B, A), list each leaf's
+// nodes out of order, and some take a whole leaf so that releasing them
+// refills it from empty. After every step the per-leaf free index must
+// equal a std::set oracle and validate() must pass.
+class ClusterStateBigLeafOps : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ClusterStateBigLeafOps, FreeIndexMatchesSetOracle) {
+  constexpr int kLeaves = 4;
+  constexpr int kPerLeaf = 64;
+  const Tree tree = make_two_level_tree(kLeaves, kPerLeaf);
+  ClusterState state(tree);
+  Rng rng(GetParam());
+  std::vector<std::set<NodeId>> oracle(static_cast<std::size_t>(kLeaves));
+  for (int li = 0; li < kLeaves; ++li) {
+    const auto nodes =
+        tree.nodes_of_leaf(tree.leaves()[static_cast<std::size_t>(li)]);
+    oracle[static_cast<std::size_t>(li)].insert(nodes.begin(), nodes.end());
+  }
+  std::vector<JobId> live;
+  JobId next = 1;
+  int interleaved = 0;
+  int refills = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (live.empty() || (state.total_free() > 0 && rng.bernoulli(0.55))) {
+      // Each chosen leaf contributes a shuffled pick, split into two chunks;
+      // the chunks are laid out A1 B1 ... A2 B2 ... so every leaf with two
+      // non-empty chunks is revisited after another leaf.
+      std::vector<std::vector<NodeId>> first_half;
+      std::vector<std::vector<NodeId>> second_half;
+      for (int li = 0; li < kLeaves; ++li) {
+        const auto& free = oracle[static_cast<std::size_t>(li)];
+        if (free.empty() || !rng.bernoulli(0.5)) continue;
+        std::vector<NodeId> pick(free.begin(), free.end());
+        rng.shuffle(pick);
+        // A whole free leaf now and then; otherwise a random share.
+        const bool whole =
+            static_cast<int>(free.size()) == kPerLeaf && rng.bernoulli(0.3);
+        if (!whole)
+          pick.resize(static_cast<std::size_t>(rng.uniform_int(
+              1, static_cast<std::int64_t>(pick.size()))));
+        const auto cut = static_cast<std::ptrdiff_t>(pick.size() / 2);
+        first_half.emplace_back(pick.begin(), pick.begin() + cut);
+        second_half.emplace_back(pick.begin() + cut, pick.end());
+      }
+      std::vector<NodeId> nodes;
+      for (const auto& chunk : first_half)
+        nodes.insert(nodes.end(), chunk.begin(), chunk.end());
+      for (const auto& chunk : second_half)
+        nodes.insert(nodes.end(), chunk.begin(), chunk.end());
+      if (nodes.empty()) continue;
+      // More leaf runs than distinct leaves: some leaf was revisited.
+      std::set<SwitchId> distinct;
+      std::size_t runs = 0;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        distinct.insert(tree.leaf_of(nodes[i]));
+        if (i == 0 || tree.leaf_of(nodes[i]) != tree.leaf_of(nodes[i - 1]))
+          ++runs;
+      }
+      if (runs > distinct.size()) ++interleaved;
+      state.allocate(next, rng.bernoulli(0.5), nodes, rng.bernoulli(0.3),
+                     static_cast<LoadUnits>(rng.uniform_int(0, 1024)));
+      for (const NodeId n : nodes)
+        oracle[static_cast<std::size_t>(
+                   tree.leaf_index(tree.leaf_of(n)))].erase(n);
+      live.push_back(next++);
+    } else {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const std::vector<NodeId> freed = state.release(live[pick]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      for (const NodeId n : freed) {
+        auto& free = oracle[static_cast<std::size_t>(
+            tree.leaf_index(tree.leaf_of(n)))];
+        EXPECT_TRUE(free.insert(n).second) << "node " << n << " freed twice";
+        // The job held the whole leaf: this release refills it from empty.
+        if (static_cast<int>(free.size()) == kPerLeaf &&
+            std::count_if(freed.begin(), freed.end(), [&](NodeId m) {
+              return tree.leaf_of(m) == tree.leaf_of(n);
+            }) == kPerLeaf)
+          ++refills;
+      }
+    }
+    state.validate();
+    for (int li = 0; li < kLeaves; ++li) {
+      const auto span =
+          state.free_leaf_span(tree.leaves()[static_cast<std::size_t>(li)]);
+      const auto& want = oracle[static_cast<std::size_t>(li)];
+      ASSERT_TRUE(std::equal(span.begin(), span.end(), want.begin(),
+                             want.end()))
+          << "leaf " << li << " at step " << step;
+    }
+  }
+  // The sweep must actually exercise the shapes it is about.
+  EXPECT_GT(interleaved, 0);
+  EXPECT_GT(refills, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClusterStateBigLeafOps,
+                         ::testing::Values(3, 11, 99, 2024, 31337));
 
 }  // namespace
 }  // namespace commsched

@@ -132,5 +132,42 @@ TEST_F(DegradationModelTest, RepeatedEvaluationIsBitReproducible) {
   }
 }
 
+TEST(DegradationModelOrderTest, SumFollowsFirstAppearanceOfLeaves) {
+  // The span visits leaves A, B, C, A, D: leaf A comes back after B and C.
+  // The run walk must count A once with both of its nodes and sum the
+  // leaves in first-appearance order A, B, C, D, bit for bit.
+  const Tree tree = make_two_level_tree(/*leaves=*/4, /*nodes_per_leaf=*/3);
+  ClusterState state(tree);
+  const DegradationModel model(
+      tree, DegradationOptions{.enabled = true, .alpha = 1.0},
+      RuntimeModelOptions{});
+  DegradationWorkspace ws;
+  state.allocate(1, true, std::vector<NodeId>{2}, false, 864);   // leaf A
+  state.allocate(2, true, std::vector<NodeId>{5}, false, 299);   // leaf B
+  state.allocate(3, true, std::vector<NodeId>{8}, false, 115);   // leaf C
+  state.allocate(4, true, std::vector<NodeId>{11}, false, 68);   // leaf D
+  const std::vector<NodeId> span{0, 3, 6, 1, 9};  // A, B, C, A, D
+
+  // Hand-computed with the documented arithmetic: weight = the job's nodes
+  // on the leaf / its node count, per-node = others / (kLoadUnitScale *
+  // attached nodes).
+  const double inv_job_nodes = 1.0 / 5.0;
+  const double scale = static_cast<double>(kLoadUnitScale) * 3.0;
+  const double term_a = (2.0 * inv_job_nodes) * (864.0 / scale);
+  const double term_b = (1.0 * inv_job_nodes) * (299.0 / scale);
+  const double term_c = (1.0 * inv_job_nodes) * (115.0 / scale);
+  const double term_d = (1.0 * inv_job_nodes) * (68.0 / scale);
+  double expected = 0.0;
+  for (const double term : {term_a, term_b, term_c, term_d}) expected += term;
+  EXPECT_EQ(model.external_load(state, span, /*own_load=*/0, ws), expected);
+
+  // The pin discriminates: summing A where it last appears (B, C, A, D)
+  // gives other bits, so a walk that moved A would fail above.
+  double last_appearance = 0.0;
+  for (const double term : {term_b, term_c, term_a, term_d})
+    last_appearance += term;
+  EXPECT_NE(last_appearance, expected);
+}
+
 }  // namespace
 }  // namespace commsched
