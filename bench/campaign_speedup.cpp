@@ -23,6 +23,7 @@
 #include "exp/campaign.hpp"
 #include "exp/emit.hpp"
 #include "metrics/summary.hpp"
+#include "source_commit.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -59,18 +60,6 @@ TimedRun timed_run(const std::vector<exp::MachineCase>& machines,
   return r;
 }
 
-// The checkout's commit, "-dirty" when the tree has uncommitted changes.
-std::string source_commit() {
-  std::string out;
-  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
-    pclose(pipe);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-    out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
 }  // namespace
 
 int main() {

@@ -26,12 +26,14 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/state.hpp"
 #include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
 #include "core/cost_model.hpp"
+#include "source_commit.hpp"
 #include "topology/builders.hpp"
 #include "util/rng.hpp"
 
@@ -258,6 +260,8 @@ int run() {
 
   json << "{\n"
        << "  \"bench\": \"micro_cost\",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"machine\": \"theta (12 leaves x 366 nodes)\",\n"
        << "  \"metric\": \"ns per candidate_cost call\",\n"
        << "  \"before\": \"pair-by-pair reference kernel "

@@ -2,37 +2,56 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 
 #include "util/assert.hpp"
+#include "util/epoch_table.hpp"
 
 namespace commsched {
 
-// contract-trusted: no-alloc: key construction is bounded by job-start
-// pricing (a handful of candidate shapes per start), never the per-leaf
-// selection loops; its vectors are leaf/node sized and die with the call
+namespace {
+
+// make_shape_key's per-thread scratch: dense leaf index -> first-appearance
+// slot, and the nodes already listed. Both are epoch-stamped, so every call
+// starts from a clean table in O(1), even after a duplicate-node throw.
+struct ShapeKeyScratch {
+  EpochTable<std::int32_t> slot_of_leaf;
+  EpochTable<std::uint8_t> listed;
+};
+
+ShapeKeyScratch& shape_key_scratch() {
+  // thread-safe: thread_local — each thread keys with a private scratch.
+  static thread_local ShapeKeyScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+// contract-trusted: no-alloc: the key's own run vector is the result (a
+// handful of runs, one per leaf visit); the scratch tables only grow to the
+// largest topology seen
 ShapeKey make_shape_key(const Tree& tree, std::span<const NodeId> nodes) {
   ShapeKey key;
   key.total_nodes = static_cast<int>(nodes.size());
   key.runs.reserve(8);
-  // Dense leaf index -> first-appearance slot; rebuilt per call (leaf_count
-  // is small — one entry per leaf switch, not per node).
-  std::vector<std::int32_t> slot_of_leaf(
-      static_cast<std::size_t>(tree.leaf_count()), -1);
-  std::vector<std::uint8_t> seen_node(
-      static_cast<std::size_t>(tree.node_count()), 0);
-  for (const NodeId n : nodes) {
-    auto& seen = seen_node[static_cast<std::size_t>(n)];
-    COMMSCHED_ASSERT_MSG(!seen, "allocation lists a node twice");
-    seen = 1;
-    const SwitchId leaf = tree.leaf_of(n);
-    auto& slot = slot_of_leaf[static_cast<std::size_t>(tree.leaf_index(leaf))];
-    if (slot < 0) slot = key.num_slots++;
-    if (!key.runs.empty() && key.runs.back().first == slot)
-      ++key.runs.back().second;
-    else
-      key.runs.emplace_back(slot, 1);
-  }
+  ShapeKeyScratch& scratch = shape_key_scratch();
+  scratch.slot_of_leaf.new_epoch(static_cast<std::size_t>(tree.leaf_count()));
+  scratch.listed.new_epoch(static_cast<std::size_t>(tree.node_count()));
+  // One slot lookup and one run per maximal run of nodes on one leaf;
+  // consecutive runs sit on different leaves, so they never merge.
+  tree.for_each_leaf_run(nodes, [&](SwitchId leaf, std::size_t first,
+                                    std::size_t len) {
+    for (const NodeId n : nodes.subspan(first, len)) {
+      const auto i = static_cast<std::size_t>(n);
+      COMMSCHED_ASSERT_MSG(!scratch.listed.is_set(i),
+                           "allocation lists a node twice");
+      scratch.listed.put(i, 1);
+    }
+    const auto li = static_cast<std::size_t>(tree.leaf_index(leaf));
+    if (!scratch.slot_of_leaf.is_set(li))
+      scratch.slot_of_leaf.put(li, key.num_slots++);
+    key.runs.emplace_back(scratch.slot_of_leaf.entry(li),
+                          static_cast<std::int32_t>(len));
+  });
   return key;
 }
 
@@ -86,10 +105,13 @@ class StepAssembler {
   void finish_step(ProfileStep step) {
     for (const auto& [sa, sb] : step_pairs_) pair_seen_[index(sa, sb)] = 0;
     std::sort(step_pairs_.begin(), step_pairs_.end());
-    const auto [it, inserted] = class_ids_.try_emplace(
-        step_pairs_, static_cast<std::int32_t>(profile_.classes.size()));
-    if (inserted) profile_.classes.push_back({step_pairs_});
-    step.cls = it->second;
+    // Intern by linear scan: a profile has few classes (at most its steps),
+    // and the scan keeps first-appearance numbering with no per-class key.
+    const auto it = std::find_if(
+        profile_.classes.begin(), profile_.classes.end(),
+        [&](const ProfileStepClass& c) { return c.leaf_pairs == step_pairs_; });
+    step.cls = static_cast<std::int32_t>(it - profile_.classes.begin());
+    if (it == profile_.classes.end()) profile_.classes.push_back({step_pairs_});
     profile_.steps.push_back(step);
     step_pairs_.clear();
   }
@@ -102,10 +124,6 @@ class StepAssembler {
   LeafCommProfile& profile_;
   std::size_t k_;
   std::vector<std::uint8_t> pair_seen_;
-  // Distinct leaf-pair set -> class id. An ordered map keeps the dedup
-  // allocation-light; the number of classes is small by construction.
-  std::map<std::vector<std::pair<std::int32_t, std::int32_t>>, std::int32_t>
-      class_ids_;
   std::vector<std::pair<std::int32_t, std::int32_t>> step_pairs_;
 };
 
@@ -278,9 +296,9 @@ std::uint64_t hash_value(const ShapeKey& key) noexcept {
   return h;
 }
 
-std::size_t CommCache::ProfileKeyHash::operator()(
-    const ProfileKey& key) const noexcept {
-  std::uint64_t h = hash_value(key.shape);
+std::size_t CommCache::ProfileKeyHash::hash(
+    const ProfileKeyView& key) noexcept {
+  std::uint64_t h = hash_value(*key.shape);
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ULL;
@@ -306,11 +324,11 @@ const CommSchedule& CommCache::schedule(Pattern pattern, int nprocs) {
 
 // contract-trusted: no-alloc: memoizing run-wide cache; allocates only on
 // the first sighting of a (pattern, shape) pair, steady-state lookups are
-// hit-only (see stats_.profile_hits)
+// hit-only (see stats_.profile_hits) and copy nothing
 const LeafCommProfile& CommCache::profile(Pattern pattern, int ranks_per_node,
                                           const ShapeKey& shape) {
-  ProfileKey key{pattern, ranks_per_node, shape};
-  const auto it = profiles_.find(key);
+  const auto it =
+      profiles_.find(ProfileKeyView{pattern, ranks_per_node, &shape});
   if (it != profiles_.end()) {
     ++stats_.profile_hits;
     return it->second;
@@ -318,7 +336,9 @@ const LeafCommProfile& CommCache::profile(Pattern pattern, int ranks_per_node,
   ++stats_.profile_misses;
   LeafCommProfile profile =
       make_leaf_comm_profile(pattern, base_msize_, shape, ranks_per_node);
-  return profiles_.emplace(std::move(key), std::move(profile)).first->second;
+  return profiles_
+      .emplace(ProfileKey{pattern, ranks_per_node, shape}, std::move(profile))
+      .first->second;
 }
 
 }  // namespace commsched

@@ -157,17 +157,46 @@ class CommCache {
     Pattern pattern;
     int ranks_per_node;
     ShapeKey shape;
-    bool operator==(const ProfileKey&) const = default;
   };
+  // Lookups probe with a view of the caller's key; the key is copied into
+  // the map only on a miss. Hash and equality are transparent over both.
+  struct ProfileKeyView {
+    Pattern pattern;
+    int ranks_per_node;
+    const ShapeKey* shape;
+  };
+  static ProfileKeyView view(const ProfileKey& key) noexcept {
+    return {key.pattern, key.ranks_per_node, &key.shape};
+  }
+  static ProfileKeyView view(const ProfileKeyView& key) noexcept {
+    return key;
+  }
   struct ProfileKeyHash {
-    std::size_t operator()(const ProfileKey& key) const noexcept;
+    using is_transparent = void;
+    template <typename K>
+    std::size_t operator()(const K& key) const noexcept {
+      return hash(view(key));
+    }
+    static std::size_t hash(const ProfileKeyView& key) noexcept;
+  };
+  struct ProfileKeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      const ProfileKeyView va = view(a);
+      const ProfileKeyView vb = view(b);
+      return va.pattern == vb.pattern &&
+             va.ranks_per_node == vb.ranks_per_node && *va.shape == *vb.shape;
+    }
   };
 
   double base_msize_;
   Stats stats_;
   // key: (pattern << 32) | nprocs
   std::unordered_map<std::uint64_t, CommSchedule> schedules_;
-  std::unordered_map<ProfileKey, LeafCommProfile, ProfileKeyHash> profiles_;
+  std::unordered_map<ProfileKey, LeafCommProfile, ProfileKeyHash,
+                     ProfileKeyEq>
+      profiles_;
 };
 
 }  // namespace commsched

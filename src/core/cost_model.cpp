@@ -14,8 +14,8 @@ void LeafOverlay::add_nodes(const Tree& tree, std::span<const NodeId> nodes,
                             int copies) {
   COMMSCHED_ASSERT_GE(copies, 1);
   const auto n_switches = static_cast<std::size_t>(tree.switch_count());
-  // contract-trusted: no-alloc: overlay sized to the topology's switch
-  // count on first use; reused across candidates
+  // contract-trusted: no-alloc: sized at construction; grows only when
+  // handed a larger topology than the one it was built for
   if (extra_.size() < n_switches) extra_.resize(n_switches, 0);
   for (const NodeId n : nodes) {
     const SwitchId leaf = tree.leaf_of(n);
@@ -152,40 +152,43 @@ double CostModel::effective_hops(const ClusterState& state, NodeId i, NodeId j,
 
 // hot-path: no-alloc
 std::size_t CostModel::map_leaves(const ClusterState& state,
-                                  std::span<const NodeId> nodes,
-                                  const LeafOverlay* overlay,
+                                  std::span<const NodeId> nodes, int copies,
                                   bool fill_rank_slot,
                                   CostWorkspace& ws) const {
   const Tree& tree = *tree_;
-  const auto n_leaves = static_cast<std::size_t>(tree.leaf_count());
-  if (ws.leaf_slot_.size() != n_leaves) ws.leaf_slot_.assign(n_leaves, -1);
-
+  ws.leaf_slot_.new_epoch(static_cast<std::size_t>(tree.leaf_count()));
   ws.call_leaves_.clear();
-  ws.call_leaf_comm_.clear();
-  ws.call_leaf_nodes_.clear();
+  ws.call_leaf_count_.clear();
   if (fill_rank_slot) ws.rank_slot_.resize(nodes.size());
-  for (std::size_t r = 0; r < nodes.size(); ++r) {
-    const SwitchId leaf = tree.leaf_of(nodes[r]);
+  // One slot lookup per run of entries on one leaf.
+  tree.for_each_leaf_run(nodes, [&](SwitchId leaf, std::size_t first,
+                                    std::size_t len) {
     const auto li = static_cast<std::size_t>(tree.leaf_index(leaf));
-    std::int32_t slot = ws.leaf_slot_[li];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(ws.call_leaves_.size());
-      ws.leaf_slot_[li] = slot;
+    if (!ws.leaf_slot_.is_set(li)) {
+      ws.leaf_slot_.put(li, static_cast<std::int32_t>(ws.call_leaves_.size()));
       ws.call_leaves_.push_back(leaf);
-      ws.call_leaf_comm_.push_back(static_cast<double>(
-          state.leaf_comm(leaf) + (overlay ? overlay->extra_comm(leaf) : 0)));
-      ws.call_leaf_nodes_.push_back(
-          static_cast<double>(state.leaf_nodes(leaf)));
+      ws.call_leaf_count_.push_back(0);
     }
-    if (fill_rank_slot) ws.rank_slot_[r] = slot;
+    const std::int32_t slot = ws.leaf_slot_.entry(li);
+    ws.call_leaf_count_[static_cast<std::size_t>(slot)] +=
+        static_cast<std::int32_t>(len);
+    if (fill_rank_slot)
+      std::fill_n(ws.rank_slot_.begin() + static_cast<std::ptrdiff_t>(first),
+                  len, slot);
+  });
+  // Freeze the contention inputs once every entry is counted (a leaf may be
+  // revisited). The candidate's share is the same int sum a LeafOverlay of
+  // `copies` per entry holds, so the doubles match the reference's bits.
+  const std::size_t k = ws.call_leaves_.size();
+  ws.call_leaf_comm_.resize(k);
+  ws.call_leaf_nodes_.resize(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    const SwitchId leaf = ws.call_leaves_[s];
+    ws.call_leaf_comm_[s] = static_cast<double>(
+        state.leaf_comm(leaf) + copies * ws.call_leaf_count_[s]);
+    ws.call_leaf_nodes_[s] = static_cast<double>(state.leaf_nodes(leaf));
   }
-  return ws.call_leaves_.size();
-}
-
-// hot-path: no-alloc
-void CostModel::release_slots(CostWorkspace& ws) const {
-  for (const SwitchId leaf : ws.call_leaves_)
-    ws.leaf_slot_[static_cast<std::size_t>(tree_->leaf_index(leaf))] = -1;
+  return k;
 }
 
 // hot-path: no-alloc
@@ -211,12 +214,11 @@ double CostModel::slot_hops(const Tree& tree, CostWorkspace& ws,
 // hot-path: no-alloc
 double CostModel::cost_impl(const ClusterState& state,
                             std::span<const NodeId> nodes,
-                            const CommSchedule& schedule,
-                            const LeafOverlay* overlay,
+                            const CommSchedule& schedule, int copies,
                             CostWorkspace& ws) const {
   const Tree& tree = *tree_;
   const std::size_t k =
-      map_leaves(state, nodes, overlay, /*fill_rank_slot=*/true, ws);
+      map_leaves(state, nodes, copies, /*fill_rank_slot=*/true, ws);
   ws.pair_hops_.assign(k * k, -1.0);
 
   double total = 0.0;
@@ -241,8 +243,6 @@ double CostModel::cost_impl(const ClusterState& state,
     if (options_.hop_bytes) step_cost *= step.msize;
     total += step_cost;
   }
-
-  release_slots(ws);
   return total;
 }
 
@@ -259,14 +259,13 @@ double CostModel::cost_impl(const ClusterState& state,
 double CostModel::cost_profile_impl(const ClusterState& state,
                                     std::span<const NodeId> nodes,
                                     const LeafCommProfile& profile,
-                                    const LeafOverlay* overlay,
-                                    CostWorkspace& ws) const {
+                                    int copies, CostWorkspace& ws) const {
   COMMSCHED_ASSERT_EQ_MSG(
       static_cast<int>(nodes.size()) * profile.ranks_per_node, profile.nprocs,
       "node count does not match the profile's shape");
   const Tree& tree = *tree_;
   const std::size_t k =
-      map_leaves(state, nodes, overlay, /*fill_rank_slot=*/false, ws);
+      map_leaves(state, nodes, copies, /*fill_rank_slot=*/false, ws);
   COMMSCHED_ASSERT_EQ_MSG(static_cast<int>(k), profile.num_slots,
                           "allocation leaf structure does not match the "
                           "profile's shape (stale ShapeKey?)");
@@ -281,12 +280,8 @@ double CostModel::cost_profile_impl(const ClusterState& state,
     ws.class_worst_[c] = worst;
   }
 
-  const double total =
-      sum_profile_steps(profile, options_.hop_bytes,
-                        [&](std::size_t c) { return ws.class_worst_[c]; });
-
-  release_slots(ws);
-  return total;
+  return sum_profile_steps(profile, options_.hop_bytes,
+                           [&](std::size_t c) { return ws.class_worst_[c]; });
 }
 
 double CostModel::cost_impl_reference(const ClusterState& state,
@@ -318,7 +313,7 @@ double CostModel::allocation_cost(const ClusterState& state,
                                   std::span<const NodeId> nodes,
                                   const CommSchedule& schedule,
                                   CostWorkspace& workspace) const {
-  return cost_impl(state, nodes, schedule, nullptr, workspace);
+  return cost_impl(state, nodes, schedule, /*copies=*/0, workspace);
 }
 
 double CostModel::allocation_cost(const ClusterState& state,
@@ -333,14 +328,9 @@ double CostModel::candidate_cost(const ClusterState& state,
                                  bool comm_intensive,
                                  const CommSchedule& schedule,
                                  CostWorkspace& workspace) const {
-  if (!comm_intensive || !options_.include_candidate)
-    return cost_impl(state, nodes, schedule, nullptr, workspace);
-  workspace.overlay_.clear();
-  workspace.overlay_.add_nodes(*tree_, nodes);
-  const double cost =
-      cost_impl(state, nodes, schedule, &workspace.overlay_, workspace);
-  workspace.overlay_.clear();
-  return cost;
+  // Each entry of the (rank-expanded) list counts once toward its leaf.
+  const int copies = comm_intensive && options_.include_candidate ? 1 : 0;
+  return cost_impl(state, nodes, schedule, copies, workspace);
 }
 
 // hot-path: no-alloc
@@ -356,7 +346,7 @@ double CostModel::allocation_cost(const ClusterState& state,
                                   std::span<const NodeId> nodes,
                                   const LeafCommProfile& profile,
                                   CostWorkspace& workspace) const {
-  return cost_profile_impl(state, nodes, profile, nullptr, workspace);
+  return cost_profile_impl(state, nodes, profile, /*copies=*/0, workspace);
 }
 
 double CostModel::allocation_cost(const ClusterState& state,
@@ -371,16 +361,11 @@ double CostModel::candidate_cost(const ClusterState& state,
                                  bool comm_intensive,
                                  const LeafCommProfile& profile,
                                  CostWorkspace& workspace) const {
-  if (!comm_intensive || !options_.include_candidate)
-    return cost_profile_impl(state, nodes, profile, nullptr, workspace);
-  // The schedule kernels overlay the expanded rank list (one entry per
-  // rank); add ranks_per_node copies per node to match bit-for-bit.
-  workspace.overlay_.clear();
-  workspace.overlay_.add_nodes(*tree_, nodes, profile.ranks_per_node);
-  const double cost =
-      cost_profile_impl(state, nodes, profile, &workspace.overlay_, workspace);
-  workspace.overlay_.clear();
-  return cost;
+  // The schedule kernels count the expanded rank list (one entry per rank);
+  // count ranks_per_node per distinct node to match bit-for-bit.
+  const int copies =
+      comm_intensive && options_.include_candidate ? profile.ranks_per_node : 0;
+  return cost_profile_impl(state, nodes, profile, copies, workspace);
 }
 
 // hot-path: no-alloc
@@ -568,26 +553,22 @@ double CostModel::delta_begin(const ClusterState& state,
 
   // Freeze the per-slot placement and contention inputs (first-appearance
   // slot order, exactly like map_leaves / the ShapeKey).
-  const auto n_leaves = static_cast<std::size_t>(tree.leaf_count());
   // contract-trusted: no-alloc: session arrays sized to the shape's slot
   // count / topology, capacity reused across sessions
-  if (ws.leaf_slot_.size() != n_leaves) ws.leaf_slot_.assign(n_leaves, -1);
+  ws.leaf_slot_.new_epoch(static_cast<std::size_t>(tree.leaf_count()));
   d.slot_leaf.clear();
   d.slot_nnodes.clear();
-  for (const NodeId n : nodes) {
-    const SwitchId leaf = tree.leaf_of(n);
+  tree.for_each_leaf_run(nodes, [&](SwitchId leaf, std::size_t,
+                                    std::size_t len) {
     const auto li = static_cast<std::size_t>(tree.leaf_index(leaf));
-    std::int32_t slot = ws.leaf_slot_[li];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(d.slot_leaf.size());
-      ws.leaf_slot_[li] = slot;
+    if (!ws.leaf_slot_.is_set(li)) {
+      ws.leaf_slot_.put(li, static_cast<std::int32_t>(d.slot_leaf.size()));
       d.slot_leaf.push_back(leaf);
       d.slot_nnodes.push_back(0);
     }
-    ++d.slot_nnodes[static_cast<std::size_t>(slot)];
-  }
-  for (const SwitchId leaf : d.slot_leaf)
-    ws.leaf_slot_[static_cast<std::size_t>(tree.leaf_index(leaf))] = -1;
+    d.slot_nnodes[static_cast<std::size_t>(ws.leaf_slot_.entry(li))] +=
+        static_cast<std::int32_t>(len);
+  });
   const std::size_t k = d.slot_leaf.size();
   COMMSCHED_ASSERT_EQ_MSG(static_cast<int>(k), profile.num_slots,
                           "allocation leaf structure does not match the "

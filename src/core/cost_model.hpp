@@ -10,8 +10,11 @@
 //
 // Costs can be priced for a *candidate* allocation that is not committed yet:
 // the candidate job's own nodes then count toward each leaf's L_comm (the
-// paper's worked Figure 5 example includes the job under consideration), via
-// a per-leaf overlay so the ClusterState itself is never touched.
+// paper's worked Figure 5 example includes the job under consideration). The
+// fast kernels count the candidate's entries per leaf slot while mapping its
+// leaves and add them when L_comm is frozen, so the ClusterState itself is
+// never touched; the pair-by-pair reference expresses the same counts as a
+// LeafOverlay.
 //
 // Three evaluation paths, fastest first:
 //   1. LeafCommProfile overloads — the allocation's canonical shape is looked
@@ -33,6 +36,7 @@
 #include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
 #include "topology/tree.hpp"
+#include "util/epoch_table.hpp"
 
 namespace commsched {
 
@@ -48,18 +52,17 @@ struct CostOptions {
 };
 
 /// Extra communication-intensive node counts per leaf switch, representing a
-/// hypothetical allocation on top of the committed ClusterState. Sized
-/// lazily, so a default-constructed overlay (inside CostWorkspace) binds to
-/// whichever topology it is first used with.
+/// hypothetical allocation on top of the committed ClusterState. Only the
+/// pair-by-pair reference (candidate_cost_reference) and the per-pair
+/// contention/effective_hops queries take one; the fast kernels fold the
+/// same counts into their per-slot L_comm and never build an overlay.
 class LeafOverlay {
  public:
-  LeafOverlay() = default;
   explicit LeafOverlay(const Tree& tree);
 
-  /// Add the candidate job's nodes, `copies` per node. The schedule kernels
-  /// price expanded rank lists (one entry per rank), so the profile path
-  /// passes copies = ranks_per_node over the distinct node list to overlay
-  /// the exact same per-leaf counts.
+  /// Add the candidate job's nodes, `copies` per node (an expanded rank
+  /// list, one entry per rank, is the same as copies = ranks_per_node over
+  /// the distinct node list).
   void add_nodes(const Tree& tree, std::span<const NodeId> nodes,
                  int copies = 1);
   void clear();
@@ -108,15 +111,15 @@ class CostWorkspace {
   friend class CostModel;
 
   // leaf_slot_ maps dense leaf index -> compact slot in the current call's
-  // leaf set (-1 when untouched; restored at the end of each call).
-  std::vector<std::int32_t> leaf_slot_;
+  // leaf set; epoch-stamped, so each call starts clean in O(1).
+  EpochTable<std::int32_t> leaf_slot_;
   std::vector<SwitchId> call_leaves_;    // distinct leaves, by slot
-  std::vector<double> call_leaf_comm_;   // L_comm (+overlay), by slot
+  std::vector<std::int32_t> call_leaf_count_;  // the call's entries, by slot
+  std::vector<double> call_leaf_comm_;   // L_comm (+candidate), by slot
   std::vector<double> call_leaf_nodes_;  // L_nodes, by slot
   std::vector<std::int32_t> rank_slot_;  // rank -> compact slot
   std::vector<double> pair_hops_;        // slot×slot memo, -1 unset
   std::vector<double> class_worst_;      // per profile step class: max hops
-  LeafOverlay overlay_;                  // candidate_cost scratch
 
  public:
   // --- Delta-cost session (CostModel::delta_begin / cost_delta /
@@ -298,28 +301,26 @@ class CostModel {
                                   const CommSchedule& schedule) const;
 
  private:
+  // `copies` > 0 prices a candidate: each entry of `nodes` adds `copies`
+  // to its leaf's L_comm (0 prices the committed state alone).
   double cost_impl(const ClusterState& state, std::span<const NodeId> nodes,
-                   const CommSchedule& schedule, const LeafOverlay* overlay,
+                   const CommSchedule& schedule, int copies,
                    CostWorkspace& ws) const;
   double cost_profile_impl(const ClusterState& state,
                            std::span<const NodeId> nodes,
-                           const LeafCommProfile& profile,
-                           const LeafOverlay* overlay,
+                           const LeafCommProfile& profile, int copies,
                            CostWorkspace& ws) const;
   double cost_impl_reference(const ClusterState& state,
                              std::span<const NodeId> nodes,
                              const CommSchedule& schedule,
                              const LeafOverlay* overlay) const;
-  /// Map the call's distinct leaves to compact slots and freeze the
-  /// per-leaf contention inputs in `ws`. Returns the slot count k and
-  /// leaves ws.leaf_slot_ populated for the visited leaves (reset via
-  /// release_slots). When `fill_rank_slot`, ws.rank_slot_[r] is the slot of
-  /// nodes[r].
+  /// Map the call's distinct leaves to compact slots, run by run, count
+  /// each slot's entries and freeze the per-leaf contention inputs in `ws`
+  /// (L_comm plus `copies` per entry). Returns the slot count k. When
+  /// `fill_rank_slot`, ws.rank_slot_[r] is the slot of nodes[r].
   std::size_t map_leaves(const ClusterState& state,
-                         std::span<const NodeId> nodes,
-                         const LeafOverlay* overlay, bool fill_rank_slot,
-                         CostWorkspace& ws) const;
-  void release_slots(CostWorkspace& ws) const;
+                         std::span<const NodeId> nodes, int copies,
+                         bool fill_rank_slot, CostWorkspace& ws) const;
   /// Memoized Eq. 5 hops between two leaf slots (frozen call state in ws).
   static double slot_hops(const Tree& tree, CostWorkspace& ws, std::size_t sa,
                           std::size_t sb, std::size_t k);

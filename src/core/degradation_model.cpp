@@ -47,10 +47,9 @@ double DegradationModel::external_load(const ClusterState& state,
   ws.touched.clear();
   // Allocations list a leaf's nodes together: stamp and count once per run
   // of nodes on the same leaf.
-  for (std::size_t i = 0; i < nodes.size();) {
-    const std::size_t run = tree_->leaf_run_length(nodes.subspan(i));
-    const auto li =
-        static_cast<std::size_t>(tree_->leaf_index(tree_->leaf_of(nodes[i])));
+  tree_->for_each_leaf_run(nodes, [&](SwitchId leaf, std::size_t,
+                                      std::size_t run) {
+    const auto li = static_cast<std::size_t>(tree_->leaf_index(leaf));
     if (ws.stamp[li] != ws.epoch) {
       ws.stamp[li] = ws.epoch;
       ws.per_leaf[li] = 0;
@@ -58,8 +57,7 @@ double DegradationModel::external_load(const ClusterState& state,
       ws.touched.push_back(static_cast<std::int32_t>(li));
     }
     ws.per_leaf[li] += static_cast<std::int32_t>(run);
-    i += run;
-  }
+  });
   // Node-weighted mean over the job's leaves of the other jobs' load per
   // attached node. Summed in ws.touched order — first appearance in `nodes`
   // order — which is identical for any two evaluations over the same

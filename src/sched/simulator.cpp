@@ -767,17 +767,17 @@ class Simulation {
     if (options_.engine == SimEngine::kFast) {
       ++epoch_;
       job_mark_[changed] = epoch_;  // the trigger itself is never rescaled
-      for (std::size_t i = 0; i < changed_nodes.size();
-           i += tree_.leaf_run_length(changed_nodes.subspan(i))) {
-        const std::size_t li = leaf_slot(changed_nodes[i]);
-        if (leaf_mark_[li] == epoch_) continue;
+      tree_.for_each_leaf_run(changed_nodes, [&](SwitchId leaf, std::size_t,
+                                                 std::size_t) {
+        const std::size_t li = leaf_slot(leaf);
+        if (leaf_mark_[li] == epoch_) return;
         leaf_mark_[li] = epoch_;
         for (const std::size_t j : leaf_jobs_[li]) {
           if (job_mark_[j] == epoch_) continue;
           job_mark_[j] = epoch_;
           rescale(now, j);
         }
-      }
+      });
     } else {
       for (const std::size_t j : running_)
         if (j != changed) rescale(now, j);
@@ -804,12 +804,12 @@ class Simulation {
     auditor_.on_end_scheduled(job_id(j), end_key);
   }
 
-  // Dense leaf index of the leaf node `n` hangs off. The three per-leaf
-  // walks below visit `nodes` one leaf run at a time (Tree::leaf_run_length):
-  // allocations list a leaf's nodes together, so this runs once per run.
+  // Dense index of a leaf. The three per-leaf walks below visit `nodes` one
+  // leaf run at a time (Tree::for_each_leaf_run): allocations list a leaf's
+  // nodes together, so this runs once per run.
   // hot-path: no-alloc
-  std::size_t leaf_slot(NodeId n) const {
-    return static_cast<std::size_t>(tree_.leaf_index(tree_.leaf_of(n)));
+  std::size_t leaf_slot(SwitchId leaf) const {
+    return static_cast<std::size_t>(tree_.leaf_index(leaf));
   }
 
   // Per-leaf index of running jobs (fast engine): which jobs to visit when
@@ -817,27 +817,27 @@ class Simulation {
   // hot-path: no-alloc
   void leaf_jobs_add(std::size_t idx, std::span<const NodeId> nodes) {
     ++epoch_;
-    for (std::size_t i = 0; i < nodes.size();
-         i += tree_.leaf_run_length(nodes.subspan(i))) {
-      const std::size_t li = leaf_slot(nodes[i]);
-      if (leaf_mark_[li] == epoch_) continue;
+    tree_.for_each_leaf_run(nodes, [&](SwitchId leaf, std::size_t,
+                                       std::size_t) {
+      const std::size_t li = leaf_slot(leaf);
+      if (leaf_mark_[li] == epoch_) return;
       leaf_mark_[li] = epoch_;
       // contract-trusted: no-alloc: bounded by the leaf's peak concurrent
       // jobs; capacity is reused across the run
       leaf_jobs_[li].push_back(idx);
-    }
+    });
   }
 
   // hot-path: no-alloc
   void leaf_jobs_remove(std::size_t idx, std::span<const NodeId> nodes) {
     ++epoch_;
-    for (std::size_t i = 0; i < nodes.size();
-         i += tree_.leaf_run_length(nodes.subspan(i))) {
-      const std::size_t li = leaf_slot(nodes[i]);
-      if (leaf_mark_[li] == epoch_) continue;
+    tree_.for_each_leaf_run(nodes, [&](SwitchId leaf, std::size_t,
+                                       std::size_t) {
+      const std::size_t li = leaf_slot(leaf);
+      if (leaf_mark_[li] == epoch_) return;
       leaf_mark_[li] = epoch_;
       std::erase(leaf_jobs_[li], idx);
-    }
+    });
   }
 
   const Tree& tree_;

@@ -87,16 +87,25 @@ class Tree {
     return idx;
   }
 
-  /// Length (>= 1) of the leading run of `nodes` attached to the same leaf
-  /// as nodes[0]. Allocations list a leaf's nodes together, so walking
-  /// `nodes` run by run does per-leaf work once per leaf rather than once
-  /// per node. Requires !nodes.empty().
+  /// Walk `nodes` one maximal run of nodes on one leaf at a time, in order:
+  /// visit(leaf, first, len) for the run nodes[first, first + len), so
+  /// consecutive runs are on different leaves. Allocations list a leaf's
+  /// nodes together, so per-leaf work runs once per run rather than once
+  /// per node, and each node's leaf is looked up exactly once.
   // hot-path: no-alloc
-  std::size_t leaf_run_length(std::span<const NodeId> nodes) const {
-    const SwitchId leaf = leaf_of(nodes[0]);
-    std::size_t k = 1;
-    while (k < nodes.size() && leaf_of(nodes[k]) == leaf) ++k;
-    return k;
+  template <typename Visit>
+  void for_each_leaf_run(std::span<const NodeId> nodes, Visit&& visit) const {
+    if (nodes.empty()) return;
+    SwitchId leaf = leaf_of(nodes[0]);
+    std::size_t first = 0;
+    for (std::size_t i = 1; i <= nodes.size(); ++i) {
+      const SwitchId next =
+          i < nodes.size() ? leaf_of(nodes[i]) : kInvalidSwitch;
+      if (next == leaf) continue;
+      visit(leaf, first, i - first);
+      leaf = next;
+      first = i;
+    }
   }
 
   /// Lowest common switch of two leaves (the leaf itself when la == lb).

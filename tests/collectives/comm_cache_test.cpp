@@ -324,5 +324,91 @@ TEST(CommCacheTest, ProfileReferencesSurviveRehash) {
   EXPECT_EQ(pinned.steps.at(0).rank_pairs, recorded.rank_pairs);
 }
 
+TEST(CommCacheTest, LookupBorrowsTheCallersKeyAndCopiesOnlyOnMiss) {
+  const Tree tree = make_two_level_tree(4, 8);
+  CommCache cache(1.0);
+  const std::vector<NodeId> nodes{0, 1, 8, 9, 2};  // A-B-A: three runs
+
+  // A temporary key, destroyed right after its lookup: the cache must have
+  // stored its own copy.
+  const LeafCommProfile* first =
+      &cache.profile(Pattern::kRecursiveHalvingVD, 1,
+                     make_shape_key(tree, nodes));
+  EXPECT_EQ(cache.stats().profile_misses, 1u);
+  EXPECT_EQ(cache.stats().profile_hits, 0u);
+
+  // An equal but distinct key object (other concrete leaves and nodes) hits
+  // and returns the same reference.
+  const ShapeKey other =
+      make_shape_key(tree, std::vector<NodeId>{30, 31, 16, 17, 29});
+  ASSERT_EQ(other, make_shape_key(tree, nodes));
+  EXPECT_EQ(&cache.profile(Pattern::kRecursiveHalvingVD, 1, other), first);
+  EXPECT_EQ(cache.stats().profile_hits, 1u);
+  {
+    const ShapeKey copy = other;  // dies at the end of this scope
+    EXPECT_EQ(&cache.profile(Pattern::kRecursiveHalvingVD, 1, copy), first);
+  }
+  EXPECT_EQ(&cache.profile(Pattern::kRecursiveHalvingVD, 1,
+                           make_shape_key(tree, nodes)),
+            first);
+  EXPECT_EQ(cache.stats().profile_hits, 3u);
+  EXPECT_EQ(cache.stats().profile_misses, 1u);
+
+  // The same shape under another pattern or another rpn is another entry.
+  const LeafCommProfile& rd =
+      cache.profile(Pattern::kRecursiveDoubling, 1, other);
+  const LeafCommProfile& rpn2 =
+      cache.profile(Pattern::kRecursiveHalvingVD, 2, other);
+  EXPECT_NE(&rd, first);
+  EXPECT_NE(&rpn2, first);
+  EXPECT_NE(&rd, &rpn2);
+  EXPECT_EQ(rpn2.ranks_per_node, 2);
+  EXPECT_EQ(cache.stats().profile_misses, 3u);
+  EXPECT_EQ(cache.stats().profile_hits, 3u);
+
+  // Each of the three entries now hits, and only hits.
+  EXPECT_EQ(&cache.profile(Pattern::kRecursiveDoubling, 1, other), &rd);
+  EXPECT_EQ(&cache.profile(Pattern::kRecursiveHalvingVD, 2, other), &rpn2);
+  EXPECT_EQ(&cache.profile(Pattern::kRecursiveHalvingVD, 1, other), first);
+  EXPECT_EQ(cache.stats().profile_misses, 3u);
+  EXPECT_EQ(cache.stats().profile_hits, 6u);
+  // Profile lookups never touch the schedule counters.
+  EXPECT_EQ(cache.stats().schedule_hits, 0u);
+  EXPECT_EQ(cache.stats().schedule_misses, 0u);
+}
+
+TEST(CommCacheTest, OneShapeUnderManyPatternsAndRpnsKeepsEntriesApart) {
+  // Sixty keys that share a shape share most of their hash input, so some
+  // land in one bucket; equality must still tell pattern and rpn apart.
+  const Tree tree = make_two_level_tree(4, 8);
+  CommCache cache(1.0);
+  const ShapeKey shape = make_shape_key(tree, std::vector<NodeId>{0, 1, 8, 2});
+  const Pattern patterns[] = {
+      Pattern::kRecursiveDoubling, Pattern::kRecursiveHalvingVD,
+      Pattern::kBinomial, Pattern::kRing, Pattern::kPairwiseAlltoall};
+  std::vector<const LeafCommProfile*> first_pass;
+  for (const Pattern pattern : patterns) {
+    for (int rpn = 1; rpn <= 12; ++rpn) {
+      const LeafCommProfile& got = cache.profile(pattern, rpn, shape);
+      const LeafCommProfile fresh =
+          make_leaf_comm_profile(pattern, 1.0, shape, rpn);
+      EXPECT_EQ(got.ranks_per_node, rpn);
+      ASSERT_EQ(got.steps.size(), fresh.steps.size())
+          << pattern_name(pattern) << " rpn " << rpn;
+      for (std::size_t k = 0; k < got.steps.size(); ++k)
+        EXPECT_EQ(got.steps[k].msize, fresh.steps[k].msize);
+      first_pass.push_back(&got);
+    }
+  }
+  EXPECT_EQ(cache.stats().profile_misses, 60u);
+  EXPECT_EQ(cache.stats().profile_hits, 0u);
+  std::size_t i = 0;
+  for (const Pattern pattern : patterns)
+    for (int rpn = 1; rpn <= 12; ++rpn)
+      EXPECT_EQ(&cache.profile(pattern, rpn, shape), first_pass[i++]);
+  EXPECT_EQ(cache.stats().profile_misses, 60u);
+  EXPECT_EQ(cache.stats().profile_hits, 60u);
+}
+
 }  // namespace
 }  // namespace commsched

@@ -16,12 +16,14 @@
 #include <map>
 #include <numeric>
 #include <random>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "topology/builders.hpp"
 #include "topology/tree.hpp"
+#include "util/assert.hpp"
 
 namespace commsched {
 namespace {
@@ -178,6 +180,142 @@ TEST(ShapeKeyProperty, KeyIgnoresWhichConcreteNodesHostTheRanks) {
   // Splitting the same four nodes across two leaves is a different shape.
   const std::vector<NodeId> split = {l0[0], l0[1], l2[0], l2[1]};
   EXPECT_NE(make_shape_key(tree, contiguous), make_shape_key(tree, split));
+}
+
+// --- Run walk vs a naive per-node oracle ------------------------------------
+
+// The obvious per-node canonicalization: an ordered map from leaf to
+// first-appearance slot, a set of listed nodes, one lookup per node, and a
+// run extended whenever two neighbors share a slot.
+ShapeKey naive_shape_key(const Tree& tree, std::span<const NodeId> nodes) {
+  ShapeKey key;
+  std::map<SwitchId, std::int32_t> slot_of_leaf;
+  std::set<NodeId> listed;
+  for (const NodeId n : nodes) {
+    if (!listed.insert(n).second)
+      throw InvariantError("allocation lists a node twice");
+    const auto [it, inserted] = slot_of_leaf.try_emplace(
+        tree.leaf_of(n), static_cast<std::int32_t>(slot_of_leaf.size()));
+    if (!key.runs.empty() && key.runs.back().first == it->second)
+      ++key.runs.back().second;
+    else
+      key.runs.emplace_back(it->second, 1);
+  }
+  key.total_nodes = static_cast<int>(nodes.size());
+  key.num_slots = static_cast<int>(slot_of_leaf.size());
+  return key;
+}
+
+// What a fuzzed list exercised, so the test can insist on coverage.
+struct ListCoverage {
+  int revisits = 0;      // a run on a leaf an earlier run already visited
+  int single_runs = 0;   // runs of one node
+  int whole_leaves = 0;  // runs that take every node of their leaf
+  int unsorted = 0;      // runs whose node ids are not ascending
+};
+
+// A fuzzed ordered node list of distinct nodes: runs on random leaves
+// (revisiting earlier ones A-B-A), each drawing 1..all remaining nodes of
+// its leaf from a shuffled pool, so ids within a run are unsorted.
+std::vector<NodeId> fuzzed_list(const Tree& tree, std::mt19937_64& rng,
+                                ListCoverage& cov) {
+  std::vector<std::vector<NodeId>> pools;
+  for (const SwitchId leaf : tree.leaves()) {
+    const auto nodes = tree.nodes_of_leaf(leaf);
+    pools.emplace_back(nodes.begin(), nodes.end());
+    std::shuffle(pools.back().begin(), pools.back().end(), rng);
+  }
+  std::vector<bool> visited(pools.size(), false);
+  std::uniform_int_distribution<std::size_t> pick_leaf(0, pools.size() - 1);
+  std::uniform_int_distribution<int> n_runs(1, 10);
+  std::vector<NodeId> out;
+  std::size_t last = pools.size();
+  for (int r = n_runs(rng); r > 0; --r) {
+    std::size_t leaf = pick_leaf(rng);
+    if (leaf == last) leaf = (leaf + 1) % pools.size();
+    auto& pool = pools[leaf];
+    if (pool.empty() || leaf == last) continue;
+    const auto leaf_size = tree.nodes_of_leaf(tree.leaves()[leaf]).size();
+    // Bias toward the run shapes the walk special-cases.
+    std::size_t len = 1;
+    switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
+      case 0: len = 1; break;
+      case 1: len = pool.size(); break;
+      default:
+        len = std::uniform_int_distribution<std::size_t>(1, pool.size())(rng);
+    }
+    cov.revisits += visited[leaf] ? 1 : 0;
+    cov.single_runs += len == 1 ? 1 : 0;
+    cov.whole_leaves += len == leaf_size ? 1 : 0;
+    const std::vector<NodeId> run(pool.end() - static_cast<std::ptrdiff_t>(len),
+                                  pool.end());
+    cov.unsorted += std::is_sorted(run.begin(), run.end()) ? 0 : 1;
+    out.insert(out.end(), run.begin(), run.end());
+    pool.resize(pool.size() - len);
+    visited[leaf] = true;
+    last = leaf;
+  }
+  return out;
+}
+
+TEST(ShapeKeyProperty, RunWalkMatchesPerNodeOracleAcrossTopologies) {
+  // Two topologies with different leaf and node counts, alternated on one
+  // thread, so the per-thread scratch is resized and reused both ways.
+  const Tree trees[] = {make_two_level_tree(8, 16),
+                        make_three_level_tree(3, 4, 5)};
+  std::mt19937_64 rng(0x5EED'15);
+  ListCoverage cov;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Tree& tree = trees[trial % 2];
+    const std::vector<NodeId> nodes = fuzzed_list(tree, rng, cov);
+    ASSERT_EQ(make_shape_key(tree, nodes), naive_shape_key(tree, nodes))
+        << "trial " << trial;
+  }
+  EXPECT_GT(cov.revisits, 500);
+  EXPECT_GT(cov.single_runs, 500);
+  EXPECT_GT(cov.whole_leaves, 500);
+  EXPECT_GT(cov.unsorted, 500);
+}
+
+TEST(ShapeKeyProperty, DuplicateThrowLeavesTheNextKeyCorrect) {
+  const Tree trees[] = {make_two_level_tree(8, 16),
+                        make_three_level_tree(3, 4, 5)};
+  std::mt19937_64 rng(0xD0B1E);
+  ListCoverage cov;
+  int cases = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Tree& tree = trees[trial % 2];
+    std::vector<NodeId> base = fuzzed_list(tree, rng, cov);
+    if (base.size() < 3) continue;
+    const auto last = base.size() - 1;
+    // Where the second copy of a listed node lands.
+    std::vector<std::vector<NodeId>> dups;
+    auto with = [&](std::size_t pos, NodeId n) {
+      std::vector<NodeId> d = base;
+      d.insert(d.begin() + static_cast<std::ptrdiff_t>(pos), n);
+      dups.push_back(std::move(d));
+    };
+    with(0, base[last]);         // first position repeats the last node
+    with(base.size(), base[0]);  // last position repeats the first node
+    with(1, base[0]);            // adjacent, inside one run
+    // Cross-run: the first run's last node re-listed inside the next run.
+    std::size_t first_run = 1;
+    while (first_run < base.size() &&
+           tree.leaf_of(base[first_run]) == tree.leaf_of(base[0]))
+      ++first_run;
+    if (first_run < base.size()) with(first_run + 1, base[first_run - 1]);
+    for (const auto& d : dups) {
+      EXPECT_THROW(naive_shape_key(tree, d), InvariantError);
+      EXPECT_THROW(make_shape_key(tree, d), InvariantError);
+      ++cases;
+      // The next key on this thread, on either topology, is still right.
+      const Tree& next = trees[(trial + cases) % 2];
+      const std::vector<NodeId> ok = fuzzed_list(next, rng, cov);
+      ASSERT_EQ(make_shape_key(next, ok), naive_shape_key(next, ok))
+          << "trial " << trial << ": key after a duplicate-node throw";
+    }
+  }
+  EXPECT_GT(cases, 1000);
 }
 
 }  // namespace

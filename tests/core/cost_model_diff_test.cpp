@@ -3,18 +3,22 @@
 // trees (varying fan-out and depth, irregular leaf sizes), random background
 // load, random allocations (including multi-rank expansions), all five
 // Pattern schedules, both CostOptions flags, and both the committed
-// (allocation_cost) and candidate/LeafOverlay (candidate_cost) paths. The
-// two kernels perform the same floating-point operations in the same order,
-// so the results must agree bit-for-bit; we assert EXPECT_DOUBLE_EQ (4 ulps)
-// which is stricter than the 1e-12 acceptance bound.
+// (allocation_cost) and candidate (candidate_cost) paths — the fast kernels
+// count the candidate's entries per leaf slot, the reference overlays them
+// through a LeafOverlay. The two kernels perform the same floating-point
+// operations in the same order, so the results must agree bit-for-bit; we
+// assert EXPECT_DOUBLE_EQ (4 ulps) which is stricter than the 1e-12
+// acceptance bound.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "cluster/state.hpp"
+#include "collectives/comm_cache.hpp"
 #include "collectives/schedule.hpp"
 #include "core/cost_model.hpp"
+#include "topology/builders.hpp"
 #include "topology/tree.hpp"
 #include "util/rng.hpp"
 
@@ -184,6 +188,85 @@ TEST(CostModelDiffTest, ScratchReuseAcrossInterleavedCalls) {
                        query.expected);
     }
   }
+}
+
+// A distinct node list that revisits a leaf non-contiguously: it opens
+// A-B-A on two random leaves of 2+ nodes, then lists random other nodes in
+// random order.
+std::vector<NodeId> revisiting_allocation(const Tree& tree, Rng& rng) {
+  std::vector<SwitchId> wide;
+  for (const SwitchId leaf : tree.leaves())
+    if (tree.nodes_of_leaf(leaf).size() >= 2) wide.push_back(leaf);
+  rng.shuffle(wide);
+  const auto a = tree.nodes_of_leaf(wide.at(0));
+  const auto b = tree.nodes_of_leaf(wide.at(1));
+  std::vector<NodeId> nodes = {a[0], b[0], a[1]};
+  std::vector<NodeId> rest;
+  for (NodeId n = 0; n < tree.node_count(); ++n)
+    if (n != a[0] && n != a[1] && n != b[0] && rng.bernoulli(0.5))
+      rest.push_back(n);
+  rng.shuffle(rest);
+  nodes.insert(nodes.end(), rest.begin(), rest.end());
+  return nodes;
+}
+
+// The fast kernels fold the candidate's own entries into each slot's L_comm
+// from per-slot counts taken over the whole list; the reference overlays
+// them entry by entry through a LeafOverlay. A revisited leaf is where the
+// two could part (a count frozen at the leaf's first run would miss its
+// later runs), so price revisiting lists at rpn 1, 2 and 4 on every pattern
+// and insist on the same bits from the schedule kernel, the profile kernel
+// and delta_begin.
+TEST(CostModelDiffTest, FoldedCandidateCountsMatchReferenceOnRevisitedLeaves) {
+  const Tree trees[] = {make_two_level_tree(5, 4),
+                        make_three_level_tree(2, 3, 3)};
+  CostWorkspace ws;
+  int checked = 0;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(0xF01D'ED + seed);
+    const Tree& tree = trees[seed % 2];
+    ClusterState state(tree);
+    random_occupy(state, rng);
+    const std::vector<NodeId> nodes = revisiting_allocation(tree, rng);
+    const ShapeKey shape = make_shape_key(tree, nodes);
+    ASSERT_GT(shape.runs.size(), static_cast<std::size_t>(shape.num_slots))
+        << "list does not revisit a leaf";
+    for (const int rpn : {1, 2, 4}) {
+      const std::vector<NodeId> ranks = expand_ranks_per_node(nodes, rpn);
+      for (const Pattern pattern : kAllPatterns) {
+        const double msize = 64.0;
+        const CommSchedule schedule =
+            make_schedule(pattern, static_cast<int>(ranks.size()), msize);
+        const LeafCommProfile profile =
+            make_leaf_comm_profile(pattern, msize, shape, rpn);
+        for (const bool include_candidate : {false, true}) {
+          const CostModel model(
+              tree, CostOptions{.hop_bytes = seed % 3 == 0,
+                                .include_candidate = include_candidate});
+          for (const bool comm_intensive : {false, true}) {
+            SCOPED_TRACE("seed=" + std::to_string(seed) +
+                         " rpn=" + std::to_string(rpn) + " pattern=" +
+                         pattern_name(pattern) + " include_candidate=" +
+                         std::to_string(include_candidate) +
+                         " comm_intensive=" + std::to_string(comm_intensive));
+            const double reference = model.candidate_cost_reference(
+                state, ranks, comm_intensive, schedule);
+            EXPECT_EQ(model.candidate_cost(state, ranks, comm_intensive,
+                                           schedule, ws),
+                      reference);
+            const double via_profile = model.candidate_cost(
+                state, nodes, comm_intensive, profile, ws);
+            EXPECT_EQ(via_profile, reference);
+            EXPECT_EQ(model.delta_begin(state, nodes, comm_intensive, profile,
+                                        ws),
+                      via_profile);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 12 * 3 * 5 * 2 * 2);
 }
 
 }  // namespace

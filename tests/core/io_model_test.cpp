@@ -52,6 +52,33 @@ TEST(IoModelTest, CandidateSelfInclusionRaisesCost) {
   EXPECT_DOUBLE_EQ(model.candidate_cost(state, packed, false), 16.0);
 }
 
+TEST(IoModelTest, CandidateCountsRevisitedLeavesOverTheWholeList) {
+  // Leaf A (n0..n3) is listed, left for leaf B (n4..n7) and revisited:
+  // every node of A must see all three of the candidate's A nodes.
+  const Tree tree = make_figure2_tree();
+  ClusterState state(tree);
+  state.allocate(1, /*comm=*/false, std::vector<NodeId>{2}, /*io=*/true);
+  const IoModel model(tree);
+  const std::vector<NodeId> aba{0, 4, 1, 5, 3};
+  // The per-node formula: C_io of each node with the whole candidate
+  // overlaid, summed in node order.
+  LeafOverlay overlay(tree);
+  overlay.add_nodes(tree, aba);
+  const double d_io = 2.0 * tree.depth();
+  double expected = 0.0;
+  for (const NodeId n : aba)
+    expected += d_io * (1.0 + model.contention(state, n, &overlay));
+  EXPECT_EQ(model.candidate_cost(state, aba, true), expected);
+  // By hand: A terms 4 * (1 + (1 + 3)/4) = 8, B terms 4 * (1 + 2/4) = 6.
+  EXPECT_DOUBLE_EQ(expected, 8.0 + 6.0 + 8.0 + 6.0 + 8.0);
+  // Without self-inclusion only the committed L_io counts.
+  double committed = 0.0;
+  for (const NodeId n : aba)
+    committed += d_io * (1.0 + model.contention(state, n));
+  EXPECT_EQ(model.candidate_cost(state, aba, false), committed);
+  EXPECT_EQ(model.allocation_cost(state, aba), committed);
+}
+
 TEST(IoModelTest, DeeperTreesPayLongerIoPaths) {
   const Tree deep = make_three_level_tree(2, 2, 4);
   const ClusterState state(deep);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "topology/builders.hpp"
 #include "util/assert.hpp"
 
@@ -28,6 +30,32 @@ TEST(TreeBuilderTest, LeafMembership) {
   for (NodeId n = 4; n < 8; ++n) EXPECT_EQ(tree.leaf_of(n), s1);
   EXPECT_EQ(tree.nodes_of_leaf(s0).size(), 4u);
   EXPECT_EQ(tree.nodes_of_leaf(s1).size(), 4u);
+}
+
+TEST(TreeTest, ForEachLeafRunVisitsMaximalRunsInOrder) {
+  const Tree tree = make_figure2_tree();
+  const SwitchId s0 = *tree.switch_by_name("s0");
+  const SwitchId s1 = *tree.switch_by_name("s1");
+  struct Run {
+    SwitchId leaf;
+    std::size_t first, len;
+    bool operator==(const Run&) const = default;
+  };
+  const auto runs_of = [&](std::vector<NodeId> nodes) {
+    std::vector<Run> runs;
+    tree.for_each_leaf_run(nodes, [&](SwitchId leaf, std::size_t first,
+                                      std::size_t len) {
+      runs.push_back({leaf, first, len});
+    });
+    return runs;
+  };
+  // A leaf revisited after another (A-A-B-A), unsorted within a run.
+  EXPECT_EQ(runs_of({3, 0, 5, 1}),
+            (std::vector<Run>{{s0, 0, 2}, {s1, 2, 1}, {s0, 3, 1}}));
+  EXPECT_EQ(runs_of({6}), (std::vector<Run>{{s1, 0, 1}}));
+  EXPECT_EQ(runs_of({4, 5, 6, 7}), (std::vector<Run>{{s1, 0, 4}}));
+  EXPECT_TRUE(runs_of({}).empty());
+  EXPECT_THROW(runs_of({0, 8}), InvariantError);  // node id out of range
 }
 
 TEST(TreeTest, DistanceMatchesPaperEquation4) {
